@@ -11,6 +11,7 @@
 package summitscale_test
 
 import (
+	"strings"
 	"testing"
 
 	"summitscale/internal/autograd"
@@ -19,6 +20,7 @@ import (
 	"summitscale/internal/netsim"
 	"summitscale/internal/nn"
 	"summitscale/internal/optim"
+	"summitscale/internal/parallel"
 	"summitscale/internal/platform"
 	"summitscale/internal/stats"
 	"summitscale/internal/storage"
@@ -93,9 +95,32 @@ func BenchmarkWorkflowDrug(b *testing.B)      { benchExperiment(b, "W3") }
 // is the scheduling-plus-memoization win the refactor exists for — shared
 // sub-results computed once across experiments and reused across runs.
 
+// runAllFlat is the legacy flat-registry path: every experiment run
+// independently by a bounded pool, no sub-result sharing, no
+// memoization — the baseline the DAG engine is measured against.
+func runAllFlat(workers int) (string, bool) {
+	exps := core.Experiments()
+	sections := make([]string, len(exps))
+	passed := make([]bool, len(exps))
+	parallel.NewPool(workers).ForEach(len(exps), func(i int) {
+		r := exps[i].Run()
+		sections[i] = core.RenderResult(exps[i], r) + "\n"
+		passed[i] = r.Pass()
+	})
+	var b strings.Builder
+	all := true
+	for i, s := range sections {
+		b.WriteString(s)
+		if !passed[i] {
+			all = false
+		}
+	}
+	return b.String(), all
+}
+
 func BenchmarkRunAllSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report, pass := core.RunAllFlat(1)
+		report, pass := runAllFlat(1)
 		if !pass {
 			b.Fatal("experiment suite failed")
 		}
@@ -132,7 +157,7 @@ func BenchmarkDAGSchedule(b *testing.B) {
 	}
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			report, pass := core.RunAllFlat(4)
+			report, pass := runAllFlat(4)
 			verify(b, report, pass)
 		}
 	})

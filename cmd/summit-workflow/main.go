@@ -45,7 +45,7 @@ func main() {
 	}
 	for _, id := range run {
 		e, _ := core.ByID(id)
-		fmt.Print(core.RenderResult(e, e.RunWith(ob)))
+		fmt.Print(core.RenderResult(e, e.Body(core.Env{Obs: ob})))
 		fmt.Println()
 	}
 	if *traceOut != "" {

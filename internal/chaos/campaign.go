@@ -168,7 +168,7 @@ func RunCampaign(p platform.Platform, sc *Scenario, seed uint64, c bench.Campaig
 		}
 		pol := faults.AdaptivePolicy{Prior: prior}
 		adaptive := faults.SimulateAdaptive(shape, pol, trace)
-		naive := faults.Simulate(shape, shape.TotalWork, trace)
+		naive := faults.Simulate(shape, shape.TotalWork, trace, nil)
 
 		rep.Instances[i] = CampaignInstanceChaos{
 			ID:           ir.ID,

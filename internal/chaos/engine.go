@@ -106,13 +106,13 @@ func Run(sc *Scenario, seed uint64, cfg Config) (*Report, error) {
 	}
 	rep.PriorMTBF = sched.Trace.Params.SystemMTBF()
 	static := faults.DalyInterval(rep.Shape.CheckpointCost, rep.PriorMTBF)
-	rep.Static = faults.Simulate(rep.Shape, static, sched.Trace)
 	// The faults simulator publishes gauges under its own faults.* names;
 	// feeding it this run's observer would race RS1/RS2 for the same keys
 	// when experiments run concurrently. The chaos engine owns the
 	// chaos.ckpt.* gauges below instead.
-	rep.Adaptive = faults.SimulateAdaptiveObserved(rep.Shape,
-		faults.AdaptivePolicy{Prior: rep.PriorMTBF}, sched.Trace, nil)
+	rep.Static = faults.Simulate(rep.Shape, static, sched.Trace, nil)
+	rep.Adaptive = faults.SimulateAdaptive(rep.Shape,
+		faults.AdaptivePolicy{Prior: rep.PriorMTBF}, sched.Trace)
 	ob.Set("chaos.ckpt.static_wall_s", float64(rep.Static.Wall))
 	ob.Set("chaos.ckpt.adaptive_wall_s", float64(rep.Adaptive.Wall))
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"summitscale/internal/chaos"
-	"summitscale/internal/obs"
 	"summitscale/internal/platform"
 )
 
@@ -40,7 +39,7 @@ func ChaosExperimentsOn(p platform.Platform) []Experiment {
 // to the invariant suite (deterministic replay, non-negative time, byte
 // conservation, monotone degradation).
 func chaosSweepExperiment(p platform.Platform) Experiment {
-	run := func(c *Cache, ob *obs.Observer) Result {
+	run := func(env Env) Result {
 		var metrics []Metric
 		var detail strings.Builder
 		passing := 0.0
@@ -48,15 +47,15 @@ func chaosSweepExperiment(p platform.Platform) Experiment {
 		for i, name := range names {
 			var rep *chaos.Report
 			var err error
-			if ob != nil && i == 0 {
+			if env.Obs != nil && i == 0 {
 				// One representative scenario feeds the trace; observed
 				// runs bypass the cache so spans are re-recorded.
 				var sc *chaos.Scenario
 				if sc, err = chaos.Builtin(name); err == nil {
-					rep, err = chaos.Run(sc, resilienceSeed, chaos.Config{Platform: p, Obs: ob})
+					rep, err = chaos.Run(sc, resilienceSeed, chaos.Config{Platform: p, Obs: env.Obs})
 				}
 			} else {
-				rep, err = cachedChaosReport(c, p, name)
+				rep, err = cachedChaosReport(env.Cache, p, name)
 			}
 			if err != nil {
 				return Result{Metrics: []Metric{{Name: name + " failed", Paper: 0, Measured: 1, Tol: 1e-9}},
@@ -95,10 +94,8 @@ func chaosSweepExperiment(p platform.Platform) Experiment {
 		PaperClaim: "leadership campaigns die to correlated failure regimes (rack cascades, " +
 			"I/O brownouts, facility outages), not independent crashes; the simulators must " +
 			"stay deterministic and physical under all of them",
-		Needs:  needs,
-		Run:    func() Result { return run(nil, nil) },
-		RunIn:  func(c *Cache) Result { return run(c, nil) },
-		RunObs: func(ob *obs.Observer) Result { return run(nil, ob) },
+		Needs: needs,
+		Body:  run,
 	}
 }
 
@@ -113,18 +110,18 @@ func chaosPolicyExperiment(p platform.Platform) Experiment {
 	// performs at the same seed and platform, so unobserved runs resolve
 	// them through the shared cache instead of re-simulating.
 	policyScenarios := []string{"rack-cascade", "facility-outage", "perfect-storm"}
-	run := func(c *Cache, ob *obs.Observer) Result {
+	run := func(env Env) Result {
 		var metrics []Metric
 		var detail strings.Builder
 		report := func(name string) (*chaos.Report, error) {
-			if ob == nil {
-				return cachedChaosReport(c, p, name)
+			if env.Obs == nil {
+				return cachedChaosReport(env.Cache, p, name)
 			}
 			sc, err := chaos.Builtin(name)
 			if err != nil {
 				return nil, err
 			}
-			return chaos.Run(sc, resilienceSeed, chaos.Config{Platform: p, Obs: ob})
+			return chaos.Run(sc, resilienceSeed, chaos.Config{Platform: p, Obs: env.Obs})
 		}
 		fail := func(err error) Result {
 			return Result{Metrics: []Metric{{Name: "policy scenario failed", Paper: 0, Measured: 1, Tol: 1e-9}},
@@ -194,10 +191,8 @@ func chaosPolicyExperiment(p platform.Platform) Experiment {
 		PaperClaim: "surviving correlated failures at scale takes policy, not luck: " +
 			"re-estimated checkpoint cadence, elastic grow-back at commit boundaries, " +
 			"and health-gated facility failover each beat the do-nothing baseline",
-		Needs:  needs,
-		Run:    func() Result { return run(nil, nil) },
-		RunIn:  func(c *Cache) Result { return run(c, nil) },
-		RunObs: func(ob *obs.Observer) Result { return run(nil, ob) },
+		Needs: needs,
+		Body:  run,
 	}
 }
 
@@ -210,16 +205,16 @@ func chaosPolicyExperiment(p platform.Platform) Experiment {
 // platform-independent — bit flips do not care about the fabric — so the
 // same golden pins every machine.
 func sdcRecoveryExperiment(p platform.Platform) Experiment {
-	run := func(c *Cache, ob *obs.Observer) Result {
+	run := func(env Env) Result {
 		var rep *chaos.SDCReport
 		var err error
-		if ob != nil {
+		if env.Obs != nil {
 			var sc *chaos.Scenario
 			if sc, err = chaos.Builtin("sdc-storm"); err == nil {
-				rep, err = chaos.RunSDC(sc, resilienceSeed, chaos.SDCConfig{Obs: ob})
+				rep, err = chaos.RunSDC(sc, resilienceSeed, chaos.SDCConfig{Obs: env.Obs})
 			}
 		} else {
-			rep, err = cachedSDCReport(c, "sdc-storm")
+			rep, err = cachedSDCReport(env.Cache, "sdc-storm")
 		}
 		if err != nil {
 			return Result{Metrics: []Metric{{Name: "sdc ablation failed", Paper: 0, Measured: 1, Tol: 1e-9}},
@@ -262,10 +257,8 @@ func sdcRecoveryExperiment(p platform.Platform) Experiment {
 			"detect corrupt gradients before the optimizer consumes them (non-finite and " +
 			"gradient-norm sentinels, ABFT checksums through the allreduce) and recover from " +
 			"tiered checkpoints to a state indistinguishable from an undisturbed run",
-		Needs:  []string{keySDCReport()},
-		Run:    func() Result { return run(nil, nil) },
-		RunIn:  func(c *Cache) Result { return run(c, nil) },
-		RunObs: func(ob *obs.Observer) Result { return run(nil, ob) },
+		Needs: []string{keySDCReport()},
+		Body:  run,
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"sync"
 
 	"summitscale/internal/obs"
-	"summitscale/internal/parallel"
+	"summitscale/internal/platform"
 )
 
 // Metric is one paper-vs-measured comparison.
@@ -63,43 +63,32 @@ func (r Result) Pass() bool {
 	return true
 }
 
+// Env is what an experiment body may draw on: a sub-result cache for
+// shared intermediates (see dag.go) and an observer to record spans and
+// metrics into. Both are optional — the zero Env means no memoization
+// and no observation — and neither may change the Result: memoization
+// and observation are pure read-outs (the goldens depend on it).
+type Env struct {
+	Cache *Cache
+	Obs   *obs.Observer
+}
+
 // Experiment is one reproducible artifact of the paper.
 type Experiment struct {
 	ID         string // e.g. "F1", "T3", "S1", "IO1", "C1", "W2"
 	Title      string
 	PaperClaim string
-	Run        func() Result
-	// RunObs, if non-nil, is Run recording spans and metrics into an
-	// observer as it goes. It must return a Result identical to Run's —
-	// observation never changes the report (the goldens depend on it).
-	RunObs func(ob *obs.Observer) Result
-	// Needs lists the sub-result cache keys this experiment consumes
-	// (see dag.go). The DAG scheduler computes each listed sub-result
-	// in its own node before this experiment runs.
+	// Body regenerates the result, resolving shared sub-results through
+	// env.Cache and recording into env.Obs.
+	Body func(env Env) Result
+	// Needs lists the sub-result cache keys Body reads. The DAG
+	// scheduler computes each listed sub-result in its own node before
+	// this experiment runs.
 	Needs []string
-	// RunIn, if non-nil, is Run resolving shared sub-results through a
-	// cache. It must return a Result identical to Run's for any cache
-	// state — memoization never changes the report.
-	RunIn func(c *Cache) Result
 }
 
-// RunWith executes the experiment, recording into ob when the experiment
-// is instrumented and ob is non-nil; otherwise it is exactly Run.
-func (e Experiment) RunWith(ob *obs.Observer) Result {
-	if e.RunObs != nil && ob != nil {
-		return e.RunObs(ob)
-	}
-	return e.Run()
-}
-
-// runIn executes the experiment resolving shared sub-results through c
-// when the experiment declares them; a nil cache degrades to Run.
-func (e Experiment) runIn(c *Cache) Result {
-	if e.RunIn != nil {
-		return e.RunIn(c)
-	}
-	return e.Run()
-}
+// Run executes the experiment with no cache and no observer.
+func (e Experiment) Run() Result { return e.Body(Env{}) }
 
 // Experiments returns the full registry in paper order. The registry is
 // built once and cached — every experiment closure is pure with respect to
@@ -133,6 +122,21 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// ExperimentsOn returns the experiments reproducible on p: the full
+// registry on the paper baseline; elsewhere the machine-aware studies
+// (system requirements, scaling, resilience, chaos, and benchmark
+// campaigns) replayed on p. The rest of the registry reproduces the
+// paper's own measurements and exists only on the baseline.
+func ExperimentsOn(p platform.Platform) []Experiment {
+	if p.IsPaperBaseline() {
+		return Experiments()
+	}
+	exps := append(SysreqExperimentsOn(p), ScalingExperimentsOn(p)...)
+	exps = append(exps, ResilienceExperimentsOn(p)...)
+	exps = append(exps, ChaosExperimentsOn(p)...)
+	return append(exps, MLPerfExperimentsOn(p)...)
 }
 
 // RenderResult formats one experiment outcome.
@@ -189,34 +193,7 @@ func RunAllParallel(workers int) (string, bool) {
 // RunAllObserved is RunAllParallel with every instrumented experiment
 // recording into ob (shared across experiments and workers — the obs
 // layer is concurrency-safe and renders byte-deterministically at any
-// worker count). A nil observer makes it exactly RunAllParallel;
-// observed runs bypass the sub-result cache so spans are re-recorded
-// per run.
+// worker count). A nil observer makes it exactly RunAllParallel.
 func RunAllObserved(workers int, ob *obs.Observer) (string, bool) {
 	return defaultEngine.RunAllObserved(workers, ob)
-}
-
-// RunAllFlat is the legacy flat-registry path: every experiment run
-// independently by a bounded pool, no sub-result sharing, no
-// memoization. It is kept as the baseline the DAG scheduler is
-// benchmarked against (BenchmarkDAGSchedule, BenchmarkRunAllSequential)
-// and must stay byte-identical to RunAllParallel.
-func RunAllFlat(workers int) (string, bool) {
-	exps := Experiments()
-	sections := make([]string, len(exps))
-	passed := make([]bool, len(exps))
-	parallel.NewPool(workers).ForEach(len(exps), func(i int) {
-		r := exps[i].Run()
-		sections[i] = RenderResult(exps[i], r) + "\n"
-		passed[i] = r.Pass()
-	})
-	var b strings.Builder
-	all := true
-	for i, s := range sections {
-		b.WriteString(s)
-		if !passed[i] {
-			all = false
-		}
-	}
-	return b.String(), all
 }

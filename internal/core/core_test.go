@@ -16,7 +16,7 @@ func TestRegistryComplete(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range exps {
 		seen[e.ID] = true
-		if e.Title == "" || e.PaperClaim == "" || e.Run == nil {
+		if e.Title == "" || e.PaperClaim == "" || e.Body == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}

@@ -22,9 +22,10 @@ import (
 // Needs), each sub-result is a node in a parallel.RunDAG graph computed
 // once and memoized in a keyed Cache, and experiment bodies resolve
 // shared work through the cache instead of rebuilding it. Rendered
-// output is byte-identical to the flat path at any -j: every section is
-// written to its own slot and concatenated in registry order, and every
-// cached value is a deterministic pure function of its key.
+// output is byte-identical to running each experiment on its own, at
+// any -j, observed or not: every section is written to its own slot and
+// concatenated in registry order, and every cached value is a
+// deterministic pure function of its key.
 
 // Cache is the keyed sub-result store shared by a DAG run (and, via
 // Engine, across runs). A nil *Cache is valid and means "no
@@ -154,7 +155,7 @@ type campaignStormOutcome struct {
 
 // cachedCampaignStorm resolves the campaign-storm replay (which embeds
 // the failure-free mixed campaign as its Base) for a platform. Observed
-// runs bypass the cache so campaign spans are re-recorded per run.
+// callers bypass the cache so campaign spans are re-recorded per run.
 func cachedCampaignStorm(c *Cache, p platform.Platform, ob *obs.Observer) (*chaos.CampaignChaosReport, error) {
 	if ob != nil {
 		rep, err := chaos.RunCampaign(p, chaos.CampaignStorm(), mlperfSeed, bench.DefaultCampaign(p), mlperfWorkers, ob)
@@ -186,14 +187,6 @@ func cachedSDCReport(c *Cache, scenario string) (*chaos.SDCReport, error) {
 		return sdcOutcome{rep, err}
 	}).(sdcOutcome)
 	return out.rep, out.err
-}
-
-// cachedExperiment wires a cache-aware body as both the plain Run and
-// the DAG RunIn of an experiment: Run is the body with no memoization.
-func cachedExperiment(e Experiment, body func(c *Cache) Result) Experiment {
-	e.Run = func() Result { return body(nil) }
-	e.RunIn = body
-	return e
 }
 
 // subResultNode is one shared-intermediate node of the experiment DAG.
@@ -246,67 +239,53 @@ func (en *Engine) Cache() *Cache { return en.cache }
 // with at most workers goroutines and renders the report in registry
 // order, byte-identical at any worker count and any cache temperature.
 func (en *Engine) RunAllParallel(workers int) (string, bool) {
-	return en.run(Experiments(), workers, nil)
+	return en.RunAllObserved(workers, nil)
 }
 
 // RunAllObserved is RunAllParallel with every instrumented experiment
-// recording into ob. Observed runs bypass the cache entirely — spans
-// must be re-recorded per run, and observation must never change the
-// report — and additionally emit one deterministic "dag" span per
-// scheduled node, carrying its declared dependencies.
+// recording into ob. Observed runs take the same DAG path — sub-result
+// nodes are scheduled and shared through the cache either way — with
+// two differences: they skip the whole-experiment result/<ID> memo, so
+// every experiment re-records its spans, and they emit one
+// deterministic "dag" span per experiment node, carrying its declared
+// dependencies.
 func (en *Engine) RunAllObserved(workers int, ob *obs.Observer) (string, bool) {
 	return en.run(Experiments(), workers, ob)
 }
 
 func (en *Engine) run(exps []Experiment, workers int, ob *obs.Observer) (string, bool) {
+	env := Env{Cache: en.cache, Obs: ob}
 	sections := make([]string, len(exps))
 	passed := make([]bool, len(exps))
+	need := map[string]bool{}
+	for _, e := range exps {
+		for _, k := range e.Needs {
+			need[k] = true
+		}
+	}
 	var nodes []parallel.Node
-	if ob == nil {
-		cache := en.cache
-		need := map[string]bool{}
-		for _, e := range exps {
-			for _, k := range e.Needs {
-				need[k] = true
-			}
+	for _, sn := range subResultNodes(platform.Summit()) {
+		if !need[sn.key] {
+			continue
 		}
-		for _, sn := range subResultNodes(platform.Summit()) {
-			if !need[sn.key] {
-				continue
-			}
-			sn := sn
-			nodes = append(nodes, parallel.Node{
-				ID:   sn.key,
-				Deps: sn.deps,
-				Run:  func() { sn.run(cache) },
-			})
-		}
-		for i := range exps {
-			i, e := i, exps[i]
-			nodes = append(nodes, parallel.Node{
-				ID:   "exp/" + e.ID,
-				Deps: e.Needs,
-				Run: func() {
-					r := cache.get("result/"+e.ID, func() any { return e.runIn(cache) }).(Result)
-					sections[i] = RenderResult(e, r) + "\n"
-					passed[i] = r.Pass()
-				},
-			})
-		}
-	} else {
-		for i := range exps {
-			i, e := i, exps[i]
-			nodes = append(nodes, parallel.Node{
-				ID: "exp/" + e.ID,
-				Run: func() {
-					ob.Span("dag", "schedule", "exp/"+e.ID,
-						units.Seconds(i), 1, obs.Str("needs", strings.Join(e.Needs, ",")))
-					r := e.RunWith(ob)
-					sections[i] = RenderResult(e, r) + "\n"
-					passed[i] = r.Pass()
-				},
-			})
-		}
+		sn := sn
+		nodes = append(nodes, parallel.Node{
+			ID:   sn.key,
+			Deps: sn.deps,
+			Run:  func() { sn.run(env.Cache) },
+		})
+	}
+	for i := range exps {
+		i, e := i, exps[i]
+		nodes = append(nodes, parallel.Node{
+			ID:   "exp/" + e.ID,
+			Deps: e.Needs,
+			Run: func() {
+				r := runNode(e, i, env)
+				sections[i] = RenderResult(e, r) + "\n"
+				passed[i] = r.Pass()
+			},
+		})
 	}
 	if err := parallel.NewPool(workers).RunDAG(nodes); err != nil {
 		// The registry's graph is static and validated by tests; a
@@ -322,4 +301,16 @@ func (en *Engine) run(exps []Experiment, workers int, ob *obs.Observer) (string,
 		}
 	}
 	return b.String(), all
+}
+
+// runNode executes experiment node i. Unobserved runs memoize the whole
+// Result under result/<ID>; observed runs skip that memo, so the body
+// re-records its spans, and add the node's own dag span.
+func runNode(e Experiment, i int, env Env) Result {
+	if env.Obs == nil {
+		return env.Cache.get("result/"+e.ID, func() any { return e.Body(env) }).(Result)
+	}
+	env.Obs.Span("dag", "schedule", "exp/"+e.ID,
+		units.Seconds(i), 1, obs.Str("needs", strings.Join(e.Needs, ",")))
+	return e.Body(env)
 }

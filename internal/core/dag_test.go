@@ -1,16 +1,20 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"summitscale/internal/obs"
+	"summitscale/internal/parallel"
 	"summitscale/internal/platform"
 )
 
 // TestDAGRegistryGraphValid guards the registry's dependency
 // declarations: every Needs key must name a sub-result node the engine
 // knows how to build (a typo would otherwise surface as a RunDAG panic).
+// That each experiment reads exactly the keys it declares is checked by
+// TestRunAllDAGShuffledRegistryOrder's per-experiment pass.
 func TestDAGRegistryGraphValid(t *testing.T) {
 	known := map[string]bool{}
 	for _, sn := range subResultNodes(platform.Summit()) {
@@ -30,17 +34,38 @@ func TestDAGRegistryGraphValid(t *testing.T) {
 				t.Errorf("experiment %s needs unknown sub-result %q", e.ID, k)
 			}
 		}
-		if len(e.Needs) > 0 && e.RunIn == nil {
-			t.Errorf("experiment %s declares Needs but has no RunIn", e.ID)
+	}
+}
+
+// runAllFlat is the legacy flat-registry path: every experiment run
+// independently by a bounded pool, no sub-result sharing, no
+// memoization. It is the reference the DAG engine must stay
+// byte-identical to.
+func runAllFlat(workers int) (string, bool) {
+	exps := Experiments()
+	sections := make([]string, len(exps))
+	passed := make([]bool, len(exps))
+	parallel.NewPool(workers).ForEach(len(exps), func(i int) {
+		r := exps[i].Run()
+		sections[i] = RenderResult(exps[i], r) + "\n"
+		passed[i] = r.Pass()
+	})
+	var b strings.Builder
+	all := true
+	for i, s := range sections {
+		b.WriteString(s)
+		if !passed[i] {
+			all = false
 		}
 	}
+	return b.String(), all
 }
 
 // TestRunAllDAGMatchesFlat is the engine's byte-identity contract: the
 // DAG scheduler with memoized sub-results must render exactly the
 // legacy flat path's report at -j 1, 4, and 16, cold or warm.
 func TestRunAllDAGMatchesFlat(t *testing.T) {
-	flat, flatPass := RunAllFlat(1)
+	flat, flatPass := runAllFlat(1)
 	en := NewEngine()
 	for _, workers := range []int{1, 4, 16} {
 		got, pass := en.RunAllParallel(workers)
@@ -60,7 +85,12 @@ func TestRunAllDAGMatchesFlat(t *testing.T) {
 
 // TestRunAllDAGShuffledRegistryOrder runs the engine over a permuted
 // experiment list: each section must be byte-identical to the
-// experiment's flat render, independent of declaration order.
+// experiment's own render, independent of declaration order. The
+// per-experiment reference pass runs each body against a fresh cache,
+// which records every key the body reads (a miss stores the built
+// value): the recorded sub/* keys must be exactly the experiment's
+// Needs, or the DAG would schedule a consumer before its input or build
+// a sub-result nobody reads.
 func TestRunAllDAGShuffledRegistryOrder(t *testing.T) {
 	exps := Experiments()
 	shuffled := make([]Experiment, len(exps))
@@ -71,12 +101,34 @@ func TestRunAllDAGShuffledRegistryOrder(t *testing.T) {
 	}
 	var want strings.Builder
 	for _, e := range shuffled {
-		want.WriteString(RenderResult(e, e.Run()) + "\n")
+		c := NewCache()
+		want.WriteString(RenderResult(e, e.Body(Env{Cache: c})) + "\n")
+		if read, declared := subKeys(c), sortedCopy(e.Needs); !slices.Equal(read, declared) {
+			t.Errorf("experiment %s reads sub-results %q but declares Needs %q", e.ID, read, declared)
+		}
 	}
 	got, _ := NewEngine().run(shuffled, 4, nil)
 	if got != want.String() {
 		t.Fatal("shuffled registry order changed the DAG engine's per-experiment output")
 	}
+}
+
+// subKeys lists the sub-result keys memoized in c, sorted.
+func subKeys(c *Cache) []string {
+	var keys []string
+	for k := range c.vals {
+		if strings.HasPrefix(k, "sub/") {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+func sortedCopy(s []string) []string {
+	out := slices.Clone(s)
+	slices.Sort(out)
+	return out
 }
 
 // TestEngineCacheMemoizes pins the memoization contract: one run fills

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"summitscale/internal/bench"
-	"summitscale/internal/obs"
 	"summitscale/internal/platform"
 )
 
@@ -43,15 +42,15 @@ func MLPerfExperimentsOn(p platform.Platform) []Experiment {
 // and under scaling sweeps, the mixed campaign scheduled onto the node
 // pool, the multi-instance throughput mode, and the storm replay.
 func mlperfExperiment(p platform.Platform) Experiment {
-	run := func(c *Cache, ob *obs.Observer) Result {
-		storm, err := cachedCampaignStorm(c, p, ob)
+	run := func(env Env) Result {
+		storm, err := cachedCampaignStorm(env.Cache, p, env.Obs)
 		if err != nil {
 			return Result{Metrics: []Metric{{Name: "campaign-storm run failed", Paper: 0, Measured: 1, Tol: 1e-9}},
 				Detail: err.Error()}
 		}
 		mixed := storm.Base
 		tc := bench.ThroughputCampaign(p, "cosmoflow", 4)
-		thr, err := bench.RunCampaign(p, tc, mlperfWorkers, ob)
+		thr, err := bench.RunCampaign(p, tc, mlperfWorkers, env.Obs)
 		if err != nil {
 			return Result{Metrics: []Metric{{Name: "throughput campaign failed", Paper: 0, Measured: 1, Tol: 1e-9}},
 				Detail: err.Error()}
@@ -106,7 +105,7 @@ func mlperfExperiment(p platform.Platform) Experiment {
 
 		return Result{Metrics: metrics, Detail: detail.String()}
 	}
-	e := Experiment{
+	return Experiment{
 		ID:    "S7",
 		Title: "benchmark campaigns — MLPerf-HPC-style time-to-train, scaling sweeps, and throughput mode",
 		PaperClaim: "leadership machines are measured by time-to-train on real science workloads: " +
@@ -114,8 +113,6 @@ func mlperfExperiment(p platform.Platform) Experiment {
 			"and multi-instance throughput mode where concurrent campaigns fill the machine — " +
 			"and the measurement must survive the machine's real failure regime",
 		Needs: []string{keyCampaignStorm(p)},
+		Body:  run,
 	}
-	e = cachedExperiment(e, func(c *Cache) Result { return run(c, nil) })
-	e.RunObs = func(ob *obs.Observer) Result { return run(nil, ob) }
-	return e
 }

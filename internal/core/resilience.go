@@ -10,7 +10,6 @@ import (
 	"summitscale/internal/ddl"
 	"summitscale/internal/faults"
 	"summitscale/internal/nn"
-	"summitscale/internal/obs"
 	"summitscale/internal/optim"
 	"summitscale/internal/perf"
 	"summitscale/internal/platform"
@@ -88,7 +87,7 @@ func ckptShape(p platform.Platform, job perf.Job) faults.RunShape {
 // failure traces and compare the measured optimum with Young/Daly.
 func checkpointSweepExperiment(p platform.Platform) Experiment {
 	ref := p.IsPaperBaseline()
-	run := func(c *Cache, ob *obs.Observer) Result {
+	run := func(env Env) Result {
 		params := faults.ParamsFor(p.Machine, 0)
 		var metrics []Metric
 		var detail strings.Builder
@@ -99,8 +98,8 @@ func checkpointSweepExperiment(p platform.Platform) Experiment {
 			id    string
 			study ScalingStudy
 		}{
-			{"Kurth", studyByID(c, p, "S1")},
-			{"Blanchard", studyByID(c, p, "S5")},
+			{"Kurth", studyByID(env.Cache, p, "S1")},
+			{"Blanchard", studyByID(env.Cache, p, "S5")},
 		} {
 			job := sc.study.Job
 			shape := ckptShape(p, job)
@@ -117,11 +116,11 @@ func checkpointSweepExperiment(p platform.Platform) Experiment {
 			pts := faults.Sweep(shape, grid, traces)
 			best := faults.Optimum(pts)
 
-			if ob != nil && sc.id == "Kurth" {
+			if env.Obs != nil && sc.id == "Kurth" {
 				// Representative replay for the trace: the measured-optimum
 				// cadence against the first trace, emitting work/checkpoint/
 				// lost-work/restart spans on the job clock.
-				faults.SimulateObserved(shape, best.Interval, traces[0], ob)
+				faults.Simulate(shape, best.Interval, traces[0], env.Obs)
 			}
 
 			idealEff := 1 / (1 + faults.DalyOverhead(daly, shape.CheckpointCost, jp.SystemMTBF()))
@@ -158,10 +157,8 @@ func checkpointSweepExperiment(p platform.Platform) Experiment {
 		Title: "§IV-B resilience — checkpoint/restart under node failures",
 		PaperClaim: "near-full-machine runs survive node failures every few hours; " +
 			"checkpoint cadence balances write cost against lost work (Young/Daly)",
-		Needs:  []string{keyScalingStudies(p)},
-		Run:    func() Result { return run(nil, nil) },
-		RunIn:  func(c *Cache) Result { return run(c, nil) },
-		RunObs: func(ob *obs.Observer) Result { return run(nil, ob) },
+		Needs: []string{keyScalingStudies(p)},
+		Body:  run,
 	}
 }
 
@@ -204,7 +201,7 @@ func studyByID(c *Cache, p platform.Platform, id string) ScalingStudy {
 // run that loses a rank mid-flight, restores from its checkpoint, and
 // still matches uninterrupted training.
 func campaignResilienceExperiment(p platform.Platform) Experiment {
-	run := func(ob *obs.Observer) Result {
+	run := func(env Env) Result {
 		var metrics []Metric
 		var detail strings.Builder
 
@@ -217,10 +214,10 @@ func campaignResilienceExperiment(p platform.Platform) Experiment {
 		trace := cp.Generate(resilienceSeed, 48*units.Hour)
 
 		inj := workflow.NewTraceInjector(trace, 6*units.Hour)
-		inj.Obs = ob
+		inj.Obs = env.Obs
 		st := &workflow.RetryStats{}
-		policy := workflow.RetryPolicy{MaxAttempts: 25, Backoff: 30, Stats: st, Obs: ob}
-		in := &workflow.Instrument{Obs: ob, Window: 6 * units.Hour}
+		policy := workflow.RetryPolicy{MaxAttempts: 25, Backoff: 30, Stats: st, Obs: env.Obs}
+		in := &workflow.Instrument{Obs: env.Obs, Window: 6 * units.Hour}
 		w := workflow.New()
 		stages := []string{"stage-in", "simulate", "embed", "select", "train", "resample", "analyze", "publish"}
 		for i, name := range stages {
@@ -266,7 +263,7 @@ func campaignResilienceExperiment(p platform.Platform) Experiment {
 			Ranks: 4, Steps: steps, CheckpointEvery: 2,
 			FailAtStep: map[int]int{failStep: 2},
 			Dir:        dir,
-			Obs:        ob, StepTime: 10 * units.Minute,
+			Obs:        env.Obs, StepTime: 10 * units.Minute,
 		}, elasticModel, func() optim.Optimizer { return optim.NewSGD(lr) }, elasticLossFn())
 		if err != nil {
 			return Result{Metrics: []Metric{{Name: "elastic run failed", Paper: 0, Measured: 1, Tol: 1e-9}},
@@ -294,8 +291,7 @@ func campaignResilienceExperiment(p platform.Platform) Experiment {
 		Title: "§V resilience — fault-injected campaign retries + elastic training",
 		PaperClaim: "campaign orchestrators retry failed stages through node loss; " +
 			"training restores from checkpoints without changing the learned model",
-		Run:    func() Result { return run(nil) },
-		RunObs: run,
+		Body: run,
 	}
 }
 

@@ -249,12 +249,13 @@ func ScalingExperimentsOn(p platform.Platform) []Experiment {
 	var out []Experiment
 	for _, s := range ScalingStudiesOn(p) {
 		id := s.ID
-		out = append(out, cachedExperiment(Experiment{
+		out = append(out, Experiment{
 			ID:         id,
 			Title:      "§IV-B scaling — " + s.Name,
 			PaperClaim: s.PaperClaim,
 			Needs:      []string{keyScalingStudies(p)},
-		}, func(c *Cache) Result { return RunScalingStudy(studyByID(c, p, id)) }))
+			Body:       func(env Env) Result { return RunScalingStudy(studyByID(env.Cache, p, id)) },
+		})
 	}
 	return out
 }

@@ -18,7 +18,7 @@ func schedulingExperiment() Experiment {
 		ID:         "B1",
 		Title:      "§II-B allocation programs — batch scheduling study",
 		PaperClaim: "INCITE ~60% of hours, ALCC ~20%, DD ~20%; INCITE jobs are capability scale",
-		Run: func() Result {
+		Body: func(Env) Result {
 			rng := stats.NewRNG(2)
 			jobs := sched.SynthesizeWorkload(rng, sched.OLCFShares(), 600_000, 7*24*3600)
 			s := sched.NewScheduler(4608)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"summitscale/internal/chaos"
-	"summitscale/internal/obs"
 	"summitscale/internal/platform"
 	"summitscale/internal/serve"
 )
@@ -40,7 +39,7 @@ func ServeExperimentsOn(p platform.Platform) []Experiment {
 // batched under the serving-storm chaos scenario with the shed policy on
 // and off.
 func serveExperiment(p platform.Platform) Experiment {
-	run := func(ob *obs.Observer) Result {
+	run := func(env Env) Result {
 		models := serve.DefaultModels(serveSeed)
 		spec := serve.DefaultTraffic()
 		reqs, err := spec.Generate(serveSeed, models)
@@ -49,7 +48,7 @@ func serveExperiment(p platform.Platform) Experiment {
 				Detail: err.Error()}
 		}
 
-		batchedCfg := serve.Config{Platform: p, Models: models, Horizon: spec.Horizon, Obs: ob}
+		batchedCfg := serve.Config{Platform: p, Models: models, Horizon: spec.Horizon, Obs: env.Obs}
 		batched, err := serve.Run(batchedCfg, reqs)
 		if err != nil {
 			return Result{Metrics: []Metric{{Name: "batched run failed", Paper: 0, Measured: 1, Tol: 1e-9}},
@@ -136,7 +135,6 @@ func serveExperiment(p platform.Platform) Experiment {
 			"dynamic micro-batching amortizes per-dispatch overhead so the same replicas absorb " +
 			"bursty diurnal load that collapses an unbatched server, and shedding bulk work under " +
 			"partial outages keeps interactive tails bounded without dropping interactive traffic",
-		Run:    func() Result { return run(nil) },
-		RunObs: run,
+		Body: run,
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"summitscale/internal/models"
-	"summitscale/internal/obs"
 	"summitscale/internal/perf"
 	"summitscale/internal/platform"
 	"summitscale/internal/storage"
@@ -54,7 +53,7 @@ func rooflineExperiment(p platform.Platform) Experiment {
 		ID:         "R1",
 		Title:      fmt.Sprintf("§VI-B roofline — the three basic operation classes on a %s", fam),
 		PaperClaim: "conv/matmul compute-bound at training sizes; recurrent/elementwise memory-bound; high rates need large matrices",
-		Run: func() Result {
+		Body: func(Env) Result {
 			r := p.Roofline()
 			var b strings.Builder
 			fmt.Fprintf(&b, "%s tensor roofline: peak %v, HBM %v, ridge %.0f flops/byte\n",
@@ -102,7 +101,7 @@ func ioExperiment(p platform.Platform) Experiment {
 	if !ref {
 		claim = fmt.Sprintf("§VI-B I/O analysis replayed on %s (no paper reference values)", p.Name)
 	}
-	run := func(ob *obs.Observer) Result {
+	run := func(env Env) Result {
 		mach := p.Machine
 		m := models.ResNet50()
 		req := storage.TrainingReadRequirement(mach.TotalGPUs(), m.SingleGPUThroughput, m.RecordBytes)
@@ -133,7 +132,7 @@ func ioExperiment(p platform.Platform) Experiment {
 					continue
 				}
 				fmt.Fprintf(&b, "  staging %v (plan %d): %v, per-epoch shuffle %v\n",
-					ds, plan, stager.ObservedStagingTime(ob, ds, mach.Nodes, plan),
+					ds, plan, stager.ObservedStagingTime(env.Obs, ds, mach.Nodes, plan),
 					stager.EpochShuffleTime(ds, mach.Nodes, plan))
 			}
 			ms = append(ms,
@@ -153,8 +152,7 @@ func ioExperiment(p platform.Platform) Experiment {
 		ID:         "IO1",
 		Title:      fmt.Sprintf("§VI-B I/O — training input bandwidth on full %s", p.Name),
 		PaperClaim: claim,
-		Run:        func() Result { return run(nil) },
-		RunObs:     run,
+		Body:       run,
 	}
 }
 
@@ -168,21 +166,21 @@ func commExperiment(p platform.Platform) Experiment {
 	if !ref {
 		claim = fmt.Sprintf("§VI-B communication analysis replayed on %s", p.Name)
 	}
-	run := func(ob *obs.Observer) Result {
+	run := func(env Env) Result {
 		f := p.Fabric()
 		mach := p.Machine
 		resnet := models.ResNet50()
 		bert := models.BERTLarge()
 		bertNodes := minInt(4032, mach.Nodes)
 		selNodes := minInt(4096, mach.Nodes)
-		tRes := f.ObservedRingAllReduce(ob, "comm", 0, mach.Nodes, resnet.GradientBytes())
-		tBert := f.ObservedRingAllReduce(ob, "comm", tRes, bertNodes, bert.GradientBytes())
-		if ob != nil {
+		tRes := f.ObservedRingAllReduce(env.Obs, "comm", 0, mach.Nodes, resnet.GradientBytes())
+		tBert := f.ObservedRingAllReduce(env.Obs, "comm", tRes, bertNodes, bert.GradientBytes())
+		if env.Obs != nil {
 			// Replay the BERT-large allreduce with a mid-collective node
 			// loss so the trace shows the wasted/rebuild/redo decomposition
 			// (§IV-B's failure mode). Gated on the observer: the report
 			// itself never depends on it.
-			f.ObservedAllReduceWithNodeLoss(ob, "comm-loss", 0,
+			f.ObservedAllReduceWithNodeLoss(env.Obs, "comm-loss", 0,
 				bertNodes, bert.GradientBytes(), 0.5, 0.5)
 		}
 		algoBW := f.RingAlgorithmBW(mach.Nodes, units.Bytes(1*units.GB))
@@ -220,7 +218,6 @@ func commExperiment(p platform.Platform) Experiment {
 		ID:         "C1",
 		Title:      "§VI-B communication — allreduce cost vs model size",
 		PaperClaim: claim,
-		Run:        func() Result { return run(nil) },
-		RunObs:     run,
+		Body:       run,
 	}
 }

@@ -22,7 +22,7 @@ func rs2Trace(t *testing.T) ([]byte, string) {
 		t.Fatal("RS2 not registered")
 	}
 	ob := obs.New()
-	r := e.RunWith(ob)
+	r := e.Body(Env{Obs: ob})
 	return ob.Trace.ChromeTrace(), RenderResult(e, r)
 }
 
@@ -86,29 +86,39 @@ func TestRS2TraceValidChromeJSON(t *testing.T) {
 
 // TestFullRegistryTraceDeterministicAcrossWorkers shares one observer
 // across the whole registry at different worker counts: report, trace,
-// and metrics must all be byte-identical regardless of scheduling.
+// and metrics must all be byte-identical regardless of scheduling. The
+// observed report must equal the unobserved one, and observing an engine
+// an unobserved run has already warmed must re-record exactly the cold
+// run's trace — observed runs share sub-results but skip the
+// result/<ID> memo, so no span may go missing.
 func TestFullRegistryTraceDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry run")
 	}
 	type out struct{ report, trace, metrics, summary string }
-	runAt := func(workers int) out {
+	runAt := func(en *Engine, workers int) out {
 		ob := obs.New()
-		report, _ := RunAllObserved(workers, ob)
+		report, _ := en.RunAllObserved(workers, ob)
 		return out{report, string(ob.Trace.ChromeTrace()), ob.Metrics.Render(), ob.Trace.Summary()}
 	}
-	seq := runAt(1)
-	par := runAt(8)
-	if seq.report != par.report {
-		t.Error("report differs between -j 1 and -j 8")
+	cold := runAt(NewEngine(), 1)
+	// The process-wide engine is warm after any earlier full run in this
+	// package; RunAllParallel makes sure of it either way.
+	plain, _ := RunAllParallel(4)
+	if cold.report != plain {
+		t.Error("observed report differs from the unobserved report")
 	}
-	if seq.trace != par.trace {
-		t.Error("Chrome trace differs between -j 1 and -j 8")
+	par := runAt(defaultEngine, 8)
+	if cold.report != par.report {
+		t.Error("report differs between cold -j 1 and warm -j 8")
 	}
-	if seq.metrics != par.metrics {
-		t.Errorf("metrics differ between -j 1 and -j 8:\n--- j1 ---\n%s\n--- j8 ---\n%s", seq.metrics, par.metrics)
+	if cold.trace != par.trace {
+		t.Error("Chrome trace differs between cold -j 1 and warm -j 8")
 	}
-	if seq.summary != par.summary {
-		t.Error("trace summary differs between -j 1 and -j 8")
+	if cold.metrics != par.metrics {
+		t.Errorf("metrics differ between cold -j 1 and warm -j 8:\n--- j1 ---\n%s\n--- j8 ---\n%s", cold.metrics, par.metrics)
+	}
+	if cold.summary != par.summary {
+		t.Error("trace summary differs between cold -j 1 and warm -j 8")
 	}
 }

@@ -20,7 +20,7 @@ func trustExperiment() Experiment {
 		ID:         "V1",
 		Title:      "§VI-A method needs — constraints, generalizability, explainability",
 		PaperClaim: "constraints imposable exactly by final correction; OOD inputs detectable; models can show their work",
-		Run: func() Result {
+		Body: func(Env) Result {
 			rng := stats.NewRNG(41)
 			var b strings.Builder
 

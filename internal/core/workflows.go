@@ -7,7 +7,6 @@ import (
 
 	"summitscale/internal/ga"
 	"summitscale/internal/mc"
-	"summitscale/internal/obs"
 	"summitscale/internal/stats"
 	"summitscale/internal/surrogate"
 	"summitscale/internal/workflow"
@@ -26,7 +25,7 @@ func materialsExperiment() Experiment {
 		ID:         "W1",
 		Title:      "§V-A materials — MC + surrogate active-learning loop",
 		PaperClaim: "ML model refined with MC-generated data reproduces the reference order-disorder transition",
-		Run: func() Result {
+		Body: func(Env) Result {
 			rng := stats.NewRNG(3)
 			ref := mc.ReferenceModel{J: 1, Anharmonicity: 0.1}
 			const latticeL = 6
@@ -122,7 +121,7 @@ func materialsExperiment() Experiment {
 // campaign timeline: FFEA and AAMD stages at different facilities coupled
 // through CVAE/ANCA-AE/GNO training on Summit, iterated twice.
 func biologyExperiment() Experiment {
-	run := func(ob *obs.Observer) Result {
+	run := func(env Env) Result {
 		w := workflow.New()
 		w.MustAdd(&workflow.Task{Name: "cryoem-input", Facility: "thetagpu", Duration: 20})
 		prev := "cryoem-input"
@@ -149,7 +148,7 @@ func biologyExperiment() Experiment {
 			return Result{Metrics: []Metric{{Name: "simulate failed", Paper: 0, Measured: 1, Tol: 1e-9}},
 				Detail: err.Error()}
 		}
-		w.TraceTimeline(tl, ob)
+		w.TraceTimeline(tl, env.Obs)
 		// Serial lower bound of the critical chain per iteration:
 		// max(ffea+anca, aamd+cvae) + gno = max(130, 230) + 40 = 270.
 		wantMakespan := 20.0 + float64(iterations)*270
@@ -171,8 +170,7 @@ func biologyExperiment() Experiment {
 		ID:         "W2",
 		Title:      "§V-B biology — multi-facility replication-transcription campaign",
 		PaperClaim: "AI components impose consistency between FFEA and AAMD across Summit, Perlmutter, ThetaGPU",
-		Run:        func() Result { return run(nil) },
-		RunObs:     run,
+		Body:       run,
 	}
 }
 
@@ -186,7 +184,7 @@ func drugExperiment() Experiment {
 		ID:         "W3",
 		Title:      "§V-C drug design — surrogate-ranked GA lead discovery loop",
 		PaperClaim: "surrogate ranking downselects compounds for expensive evaluation; loop enriches high-affinity leads",
-		Run: func() Result {
+		Body: func(Env) Result {
 			rng := stats.NewRNG(17)
 			cfg := ga.DefaultConfig()
 

@@ -12,7 +12,6 @@ package faults
 import (
 	"fmt"
 
-	"summitscale/internal/obs"
 	"summitscale/internal/units"
 )
 
@@ -62,13 +61,6 @@ func (p AdaptivePolicy) Interval(delta, wall units.Seconds, failures int) units.
 // adaptive counterpart of Simulate. The shape must have a positive
 // checkpoint cost (Daly needs one).
 func SimulateAdaptive(shape RunShape, pol AdaptivePolicy, trace *Trace) Outcome {
-	return SimulateAdaptiveObserved(shape, pol, trace, nil)
-}
-
-// SimulateAdaptiveObserved is SimulateAdaptive recording the same span and
-// counter stream as SimulateObserved into ob (which may be nil).
-func SimulateAdaptiveObserved(shape RunShape, pol AdaptivePolicy, trace *Trace,
-	ob *obs.Observer) Outcome {
 	if err := shape.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -77,5 +69,5 @@ func SimulateAdaptiveObserved(shape RunShape, pol AdaptivePolicy, trace *Trace,
 	}
 	return simulateDynamic(shape, func(wall units.Seconds, failures int) units.Seconds {
 		return pol.Interval(shape.CheckpointCost, wall, failures)
-	}, trace.FailureTimes(), ob)
+	}, trace.FailureTimes(), nil)
 }

@@ -27,7 +27,7 @@ func TestAdaptiveBeatsMisestimatedStatic(t *testing.T) {
 	prior := 24 * units.Hour                            // what the hardware sheet claims
 	tr := burstTrace(30*units.Minute, 20*24*units.Hour) // what the machine does
 
-	static := Simulate(shape, DalyInterval(shape.CheckpointCost, prior), tr)
+	static := Simulate(shape, DalyInterval(shape.CheckpointCost, prior), tr, nil)
 	adaptive := SimulateAdaptive(shape, AdaptivePolicy{Prior: prior}, tr)
 	if adaptive.Wall >= static.Wall {
 		t.Fatalf("adaptive wall %v not better than misestimated static %v", adaptive.Wall, static.Wall)
@@ -44,7 +44,7 @@ func TestAdaptiveMatchesWellEstimatedStatic(t *testing.T) {
 	shape := RunShape{TotalWork: 12 * units.Hour, CheckpointCost: 60, RestartCost: 300}
 	mtbf := 2 * units.Hour
 	tr := burstTrace(mtbf, 20*24*units.Hour)
-	static := Simulate(shape, DalyInterval(shape.CheckpointCost, mtbf), tr)
+	static := Simulate(shape, DalyInterval(shape.CheckpointCost, mtbf), tr, nil)
 	adaptive := SimulateAdaptive(shape, AdaptivePolicy{Prior: mtbf}, tr)
 	if ratio := float64(adaptive.Wall) / float64(static.Wall); ratio > 1.10 {
 		t.Fatalf("adaptive wall %v is %.1f%% above the well-estimated static %v",

@@ -67,31 +67,22 @@ func (o Outcome) Efficiency(shape RunShape) float64 {
 // checkpoint and pays RestartCost. Failures after the trace horizon do
 // not exist: the caller must generate traces long enough to cover the
 // worst-case wall time.
-func Simulate(shape RunShape, interval units.Seconds, trace *Trace) Outcome {
-	return simulate(shape, interval, trace.FailureTimes())
+//
+// A non-nil ob also receives the replay: one span per committed work
+// segment and checkpoint write, and — per failure — an instant failure
+// event plus lost-work and restart spans, all on the job's simulated
+// clock (track "job"). The Outcome is identical either way.
+func Simulate(shape RunShape, interval units.Seconds, trace *Trace, ob *obs.Observer) Outcome {
+	return simulateDynamic(shape, fixedInterval(interval), trace.FailureTimes(), ob)
 }
 
-// SimulateObserved is Simulate replaying the run into an observer as well:
-// one span per committed work segment and checkpoint write, and — per
-// failure — an instant failure event plus lost-work and restart spans, all
-// on the job's simulated clock (track "job"). A nil observer records
-// nothing; the Outcome is identical either way.
-func SimulateObserved(shape RunShape, interval units.Seconds, trace *Trace,
-	ob *obs.Observer) Outcome {
-	return simulateObserved(shape, interval, trace.FailureTimes(), ob)
-}
-
-func simulate(shape RunShape, interval units.Seconds, failures []units.Seconds) Outcome {
-	return simulateObserved(shape, interval, failures, nil)
-}
-
-func simulateObserved(shape RunShape, interval units.Seconds,
-	failures []units.Seconds, ob *obs.Observer) Outcome {
+// fixedInterval is the static checkpoint policy: the same interval at
+// every segment start.
+func fixedInterval(interval units.Seconds) func(units.Seconds, int) units.Seconds {
 	if interval <= 0 {
 		panic("faults: checkpoint interval must be positive")
 	}
-	return simulateDynamic(shape,
-		func(units.Seconds, int) units.Seconds { return interval }, failures, ob)
+	return func(units.Seconds, int) units.Seconds { return interval }
 }
 
 // simulateDynamic is the shared replay loop behind the static and
@@ -231,8 +222,9 @@ func Sweep(shape RunShape, intervals []units.Seconds, traces []*Trace) []SweepPo
 	for i, iv := range intervals {
 		var wall units.Seconds
 		var fails int
+		at := fixedInterval(iv)
 		for _, fs := range failureSets {
-			o := simulate(shape, iv, fs)
+			o := simulateDynamic(shape, at, fs, nil)
 			wall += o.Wall
 			fails += o.Failures
 		}

@@ -44,15 +44,10 @@ func (s *Stager) ReStageTime(dataset units.Bytes, nodes int, plan StagingPlan) u
 // order changes which failures count as "during stage-in"; ascending order
 // is the physical semantics (a failure is admitted iff stage-in — already
 // stretched by every earlier failure — is still running when it hits).
-func (s *Stager) StagingTimeWithFailures(dataset units.Bytes, nodes int,
-	plan StagingPlan, failures []units.Seconds) units.Seconds {
-	return s.ObservedStagingTimeWithFailures(nil, dataset, nodes, plan, failures)
-}
-
-// ObservedStagingTimeWithFailures is StagingTimeWithFailures emitting one
-// stage-in span plus a re-stage span per admitted failure into ob (which
-// may be nil).
-func (s *Stager) ObservedStagingTimeWithFailures(ob *obs.Observer, dataset units.Bytes,
+//
+// A non-nil ob also receives one stage-in span plus a re-stage span per
+// admitted failure.
+func (s *Stager) StagingTimeWithFailures(ob *obs.Observer, dataset units.Bytes,
 	nodes int, plan StagingPlan, failures []units.Seconds) units.Seconds {
 	completion := s.ObservedStagingTime(ob, dataset, nodes, plan)
 	re := s.ReStageTime(dataset, nodes, plan)
