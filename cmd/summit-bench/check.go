@@ -21,8 +21,8 @@ const checkTolerance = 0.30
 // Parallel-kernel floor rules. Like minParallelSpeedup these are ratios
 // within ONE fresh run, so runner speed cancels out; unlike it they only
 // mean anything when there are cores to fan out over, so the speedup
-// floors are skipped below kernelFloorMinProcs. The allocation floor is
-// deterministic and applies at any core count.
+// floors are skipped below kernelFloorMinProcs. The allocation ceilings
+// are deterministic and apply at any core count.
 const (
 	// minGemmSpeedup floors GemmRowStream256 / GemmParallel256: the
 	// packed parallel GEMM must beat the serial row-stream kernel 2x.
@@ -52,7 +52,25 @@ const (
 	// maxTrainStepAllocs caps TrainStepAlloc/scratch allocs/op: the
 	// arena + persistent-pool training step must stay allocation-flat.
 	maxTrainStepAllocs = 45
+	// maxServeRunAllocs caps ServeRun allocs/op at 3 per request over the
+	// benchmark's 5,430 requests: arrivals stream from the sorted slice
+	// and batches reuse the run's scratch and slabs, so the event loop
+	// allocates per batch, not per request.
+	maxServeRunAllocs = 16290
 )
+
+// allocRule is one allocs/op ceiling on a recorded benchmark.
+type allocRule struct {
+	label   string
+	name    string // benchmark name as recorded in the document
+	ceiling float64
+}
+
+// allocRules is the ceiling table -check and -floors enforce.
+var allocRules = []allocRule{
+	{"TrainStepAlloc/scratch", "BenchmarkTrainStepAlloc/scratch", maxTrainStepAllocs},
+	{"ServeRun", "BenchmarkServeRun", maxServeRunAllocs},
+}
 
 // ratioRule is one within-run speedup floor: numerator ns/op over
 // denominator ns/op must reach floor. Rules live in a table so every rule
@@ -78,7 +96,7 @@ var ratioRules = []ratioRule{
 		"BenchmarkCheckpointDrain/sync", "BenchmarkCheckpointDrain/async", minCheckpointDrainSpeedup},
 }
 
-// checkKernelFloors enforces the alloc ceiling and every table rule on a
+// checkKernelFloors enforces every alloc ceiling and ratio rule on a
 // fresh document. Absent benchmarks are fine (a partial sweep skips their
 // rules); a present pair is enforced, and all violations are collected
 // rather than stopping at the first.
@@ -91,14 +109,18 @@ func checkKernelFloors(fresh *document) (lines []string, failed []string) {
 		}
 		return nil
 	}
-	if r := find("BenchmarkTrainStepAlloc/scratch"); r != nil {
-		status := "ok"
-		if r.AllocsPerOp > maxTrainStepAllocs {
-			status = "REGRESSION"
-			failed = append(failed, "TrainStepAlloc/scratch allocs")
+	for _, rule := range allocRules {
+		r := find(rule.name)
+		if r == nil {
+			continue
 		}
-		lines = append(lines, fmt.Sprintf("  TrainStepAlloc/scratch allocs/op %30.0f (ceiling %d)  [%s]",
-			r.AllocsPerOp, maxTrainStepAllocs, status))
+		status := "ok"
+		if r.AllocsPerOp > rule.ceiling {
+			status = "REGRESSION"
+			failed = append(failed, rule.label+" allocs")
+		}
+		lines = append(lines, fmt.Sprintf("  %s allocs/op %*.0f (ceiling %.0f)  [%s]",
+			rule.label, 52-len(rule.label), r.AllocsPerOp, rule.ceiling, status))
 	}
 	for _, rule := range ratioRules {
 		nr, dr := find(rule.num), find(rule.den)
@@ -134,7 +156,7 @@ func runFloors(fresh *document) {
 	lines, failed := checkKernelFloors(fresh)
 	fmt.Printf("kernel floor check (gomaxprocs %d):\n", fresh.Gomaxprocs)
 	if len(lines) == 0 {
-		fmt.Fprintln(os.Stderr, "summit-bench: no kernel-floor benchmarks in stream (need Gemm*, MDForces, ServeHotPath, CampaignHotPath, CheckpointDrain, TrainStepAlloc)")
+		fmt.Fprintln(os.Stderr, "summit-bench: no kernel-floor benchmarks in stream (need Gemm*, MDForces, ServeHotPath, ServeRun, CampaignHotPath, CheckpointDrain, TrainStepAlloc)")
 		os.Exit(1)
 	}
 	for _, l := range lines {

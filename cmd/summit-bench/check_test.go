@@ -234,3 +234,22 @@ func TestKernelFloorsReportAllViolations(t *testing.T) {
 		t.Fatalf("want 4 REGRESSION markers, got %d:\n%s", got, joined)
 	}
 }
+
+func TestServeRunAllocCeiling(t *testing.T) {
+	// The streaming router's allocations clear the 3-per-request ceiling.
+	fresh := doc(result{Name: "BenchmarkServeRun", NsPerOp: 1, AllocsPerOp: 8739})
+	if _, failed := checkKernelFloors(fresh); len(failed) != 0 {
+		t.Fatalf("8,739 allocs/op failed the ServeRun ceiling: %v", failed)
+	}
+	// The per-arrival closure-and-event loop measured 41,085; like every
+	// alloc ceiling it is enforced at any core count.
+	fresh = doc(result{Name: "BenchmarkServeRun", NsPerOp: 1, AllocsPerOp: 41085})
+	lines, failed := checkKernelFloors(fresh)
+	if len(failed) != 1 || failed[0] != "ServeRun allocs" {
+		t.Fatalf("41,085 allocs/op not flagged: %v", failed)
+	}
+	if joined := strings.Join(lines, "\n"); !strings.Contains(joined, "ServeRun allocs/op") ||
+		!strings.Contains(joined, "(ceiling 16290)  [REGRESSION]") {
+		t.Fatalf("ServeRun ceiling missing from report lines:\n%s", joined)
+	}
+}

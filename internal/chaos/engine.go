@@ -109,12 +109,19 @@ func Run(sc *Scenario, seed uint64, cfg Config) (*Report, error) {
 	// The faults simulator publishes gauges under its own faults.* names;
 	// feeding it this run's observer would race RS1/RS2 for the same keys
 	// when experiments run concurrently. The chaos engine owns the
-	// chaos.ckpt.* gauges below instead.
+	// chaos.<scenario>.* gauges below instead; the scenario in the name
+	// keeps concurrent runs of different scenarios (RS3's traced sweep
+	// entry and RS4's policy scenarios) off each other's keys.
+	gauge := func(name string, v float64) {
+		if ob != nil {
+			ob.Set("chaos."+sc.Name+"."+name, v)
+		}
+	}
 	rep.Static = faults.Simulate(rep.Shape, static, sched.Trace, nil)
 	rep.Adaptive = faults.SimulateAdaptive(rep.Shape,
 		faults.AdaptivePolicy{Prior: rep.PriorMTBF}, sched.Trace)
-	ob.Set("chaos.ckpt.static_wall_s", float64(rep.Static.Wall))
-	ob.Set("chaos.ckpt.adaptive_wall_s", float64(rep.Adaptive.Wall))
+	gauge("ckpt.static_wall_s", float64(rep.Static.Wall))
+	gauge("ckpt.adaptive_wall_s", float64(rep.Adaptive.Wall))
 
 	// --- netsim: the collective under the flap windows, launched hourly.
 	fabric := cfg.Platform.Fabric()
@@ -132,7 +139,7 @@ func Run(sc *Scenario, seed uint64, cfg Config) (*Report, error) {
 		launches++
 	}
 	rep.ChaosAllReduce = chaosTotal / units.Seconds(launches)
-	ob.Set("chaos.net.mean_allreduce_s", float64(rep.ChaosAllReduce))
+	gauge("net.mean_allreduce_s", float64(rep.ChaosAllReduce))
 
 	// --- storage: staging through the deepest brownout.
 	gpfs := cfg.Platform.GPFS()
@@ -140,13 +147,13 @@ func Run(sc *Scenario, seed uint64, cfg Config) (*Report, error) {
 	rep.CleanStage = units.Seconds(float64(probeDataset) / float64(gpfs.ReadBW(stageNodes)))
 	rep.BrownoutStage = units.Seconds(float64(probeDataset) /
 		float64(gpfs.Degraded(sched.WorstBrownout()).ReadBW(stageNodes)))
-	ob.Set("chaos.storage.brownout_stage_s", float64(rep.BrownoutStage))
+	gauge("storage.brownout_stage_s", float64(rep.BrownoutStage))
 
 	// --- ddl: elastic throughput with and without grow-back.
 	stepTime := sc.Horizon / probeSteps
 	rep.ShrinkOnlyWall = elasticWall(sched, ringNodes, probeSteps, stepTime, false)
 	rep.GrowBackWall = elasticWall(sched, ringNodes, probeSteps, stepTime, true)
-	ob.Set("chaos.ddl.growback_wall_s", float64(rep.GrowBackWall))
+	gauge("ddl.growback_wall_s", float64(rep.GrowBackWall))
 
 	// --- workflow: campaign routing through the facility outages.
 	primary := cfg.Platform.Key
@@ -179,7 +186,7 @@ func Run(sc *Scenario, seed uint64, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ob.Set("chaos.workflow.failover_makespan_s", float64(rep.Failover.Makespan))
+	gauge("workflow.failover_makespan_s", float64(rep.Failover.Makespan))
 	return rep, nil
 }
 

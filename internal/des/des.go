@@ -1,10 +1,8 @@
 // Package des is a small discrete-event simulation kernel: a time-ordered
 // event queue with deterministic FIFO tie-breaking, used by the workflow
-// engine to simulate multi-facility campaigns and by ablation experiments
-// that need explicit timelines.
+// engine to simulate multi-facility campaigns, by the serving router, and
+// by ablation experiments that need explicit timelines.
 package des
-
-import "container/heap"
 
 // Event is a scheduled callback.
 type Event struct {
@@ -14,29 +12,20 @@ type Event struct {
 	seq int // insertion order for deterministic ties
 }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].Time != q[j].Time {
-		return q[i].Time < q[j].Time
+// before is the queue order: earlier time first, ties by insertion.
+func (e *Event) before(o *Event) bool {
+	if e.Time != o.Time {
+		return e.Time < o.Time
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*Event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
-// Sim is a discrete-event simulation.
+// Sim is a discrete-event simulation. Its queue is a binary min-heap of
+// Event values ordered by (Time, seq): scheduling appends in place, so an
+// event costs no allocation beyond the slice's amortized growth.
 type Sim struct {
 	now     float64
-	queue   eventQueue
+	queue   []Event
 	nextSeq int
 	// Processed counts executed events.
 	Processed int
@@ -53,9 +42,9 @@ func (s *Sim) At(t float64, action func(*Sim)) {
 	if t < s.now {
 		panic("des: scheduling in the past")
 	}
-	e := &Event{Time: t, Action: action, seq: s.nextSeq}
+	s.queue = append(s.queue, Event{Time: t, Action: action, seq: s.nextSeq})
 	s.nextSeq++
-	heap.Push(&s.queue, e)
+	s.up(len(s.queue) - 1)
 }
 
 // After schedules action delay seconds from now.
@@ -70,16 +59,81 @@ func (s *Sim) Run(maxEvents int) float64 {
 		if maxEvents >= 0 && s.Processed >= maxEvents {
 			break
 		}
-		e := heap.Pop(&s.queue).(*Event)
-		s.now = e.Time
-		s.Processed++
-		e.Action(s)
+		s.step()
 	}
 	return s.now
 }
 
+// RunBefore executes the events scheduled strictly before t, under the
+// same event limit as Run, and then advances the clock to t. It reports
+// whether the clock reached t; false means the limit stopped it with
+// events before t still queued. A caller streaming inputs from outside the
+// queue calls RunBefore(t) and then handles the input at t: the input runs
+// after every event before t and before every event at t, exactly as if it
+// had been scheduled ahead of all of them.
+func (s *Sim) RunBefore(t float64, maxEvents int) bool {
+	if t < s.now {
+		panic("des: running to the past")
+	}
+	for len(s.queue) > 0 && s.queue[0].Time < t {
+		if maxEvents >= 0 && s.Processed >= maxEvents {
+			return false
+		}
+		s.step()
+	}
+	s.now = t
+	return true
+}
+
 // Pending returns the number of queued events.
 func (s *Sim) Pending() int { return len(s.queue) }
+
+// step pops the earliest event, advances the clock to it, and runs it.
+func (s *Sim) step() {
+	q := s.queue
+	n := len(q) - 1
+	e := q[0]
+	q[0] = q[n]
+	q[n] = Event{} // drop the action so the closure can be collected
+	s.queue = q[:n]
+	s.down(0)
+	s.now = e.Time
+	s.Processed++
+	e.Action(s)
+}
+
+// up and down are container/heap's sift operations on the value heap.
+func (s *Sim) up(j int) {
+	q := s.queue
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q[j].before(&q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (s *Sim) down(i int) {
+	q := s.queue
+	n := len(q)
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].before(&q[j1]) {
+			j = j2 // right child
+		}
+		if !q[j].before(&q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+}
 
 // Resource is a capacity-limited resource with FIFO queuing: Acquire
 // schedules work when a slot frees. It models constrained facilities

@@ -30,14 +30,16 @@ type batcher struct {
 	epoch int
 }
 
-func newBatcher(cfg BatchConfig) *batcher {
+// newBatcher builds a batcher whose open batch has room for capHint
+// requests before it must grow.
+func newBatcher(cfg BatchConfig, capHint int) *batcher {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 1
 	}
 	if cfg.MaxDelay < 0 {
 		cfg.MaxDelay = 0
 	}
-	return &batcher{cfg: cfg}
+	return &batcher{cfg: cfg, pending: make([]Request, 0, capHint)}
 }
 
 // add appends an admitted request to the open batch. It returns
@@ -52,13 +54,16 @@ func (b *batcher) add(r Request) (closed []Request, deadline bool) {
 	return nil, len(b.pending) == 1
 }
 
-// close seals and returns the open batch (nil when empty).
+// close seals and returns the open batch (nil when empty). The sealed
+// batch is capped at its length, and the next batch appends into the
+// array after it, so batches never share elements.
 func (b *batcher) close() []Request {
-	if len(b.pending) == 0 {
+	n := len(b.pending)
+	if n == 0 {
 		return nil
 	}
-	batch := b.pending
-	b.pending = nil
+	batch := b.pending[:n:n]
+	b.pending = b.pending[n:n]
 	b.epoch++
 	return batch
 }

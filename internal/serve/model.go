@@ -28,7 +28,8 @@ type Model interface {
 	BytesPerSample() float64
 	// PredictBatch predicts every row into out (len(out) == len(rows)),
 	// sharding rows over the pool with at most workers participants
-	// (workers <= 0 means the full pool width).
+	// (workers <= 0 means the full pool width). The router reuses the
+	// rows slice for its next batch, so it must not be kept past return.
 	PredictBatch(pool *parallel.WorkerPool, workers int, rows [][]float64, out []float64)
 }
 
@@ -88,7 +89,7 @@ type ForestModel struct {
 func NewForestModel(name string, m *surrogate.RandomForest, dim int) *ForestModel {
 	return &ForestModel{
 		name: name, model: m, dim: dim,
-		trees:  float64(len(m.Trees)),
+		trees:  float64(m.NumTrees()),
 		depthF: float64(m.MaxDepth),
 	}
 }
@@ -114,17 +115,17 @@ func (m *ForestModel) BytesPerSample() float64 { return 8 * float64(m.dim+1) }
 // PredictBatch implements Model.
 func (m *ForestModel) PredictBatch(pool *parallel.WorkerPool, workers int, rows [][]float64, out []float64) {
 	pool.RunRangeMax(workers, len(rows), batchGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = m.model.Predict(rows[i])
-		}
+		m.model.PredictRows(rows[lo:hi], out[lo:hi])
 	})
 }
 
-// denseLayer is one extracted fully connected layer: w is out×in.
+// denseLayer is one extracted fully connected layer: w is out×in,
+// row-major, so output o's weights are w[o*in : (o+1)*in].
 type denseLayer struct {
-	w    [][]float64
-	b    []float64
-	relu bool
+	w       []float64
+	b       []float64
+	in, out int
+	relu    bool
 }
 
 // MLPModel serves a feed-forward network with weights extracted from an
@@ -134,6 +135,7 @@ type MLPModel struct {
 	name   string
 	layers []denseLayer
 	in     int
+	widest int // widest activation, input included
 	flops  float64
 	bytes  float64
 }
@@ -145,22 +147,24 @@ func NewMLPModel(name string, seed uint64, widths []int) *MLPModel {
 	rng := stats.NewRNG(seed)
 	arch := append(append([]int{}, widths...), 1)
 	seq := nn.NewMLP(rng, arch, nil)
-	m := &MLPModel{name: name, in: widths[0]}
+	m := &MLPModel{name: name, in: widths[0], widest: widths[0]}
 	params := seq.Params()
 	// nn.NewMLP emits params pairwise (W then b per layer).
 	for li := 0; li*2+1 < len(params); li++ {
 		wv, bv := params[li*2].Value.Data, params[li*2+1].Value.Data
 		in, out := arch[li], arch[li+1]
-		layer := denseLayer{b: make([]float64, out), relu: li < len(arch)-2}
-		layer.w = make([][]float64, out)
+		layer := denseLayer{
+			w: make([]float64, out*in), b: make([]float64, out),
+			in: in, out: out, relu: li < len(arch)-2,
+		}
 		for o := 0; o < out; o++ {
-			layer.w[o] = make([]float64, in)
 			for i := 0; i < in; i++ {
-				layer.w[o][i] = wv.At(i, o)
+				layer.w[o*in+i] = wv.At(i, o)
 			}
 			layer.b[o] = bv.At(o)
 		}
 		m.layers = append(m.layers, layer)
+		m.widest = max(m.widest, out)
 		m.flops += 2 * float64(in) * float64(out)
 		m.bytes += 8 * float64(in+1) * float64(out)
 	}
@@ -180,54 +184,88 @@ func (m *MLPModel) FlopsPerSample() float64 { return m.flops }
 func (m *MLPModel) WeightBytes() float64 { return m.bytes }
 
 // BytesPerSample implements Model: widest activation in and out.
-func (m *MLPModel) BytesPerSample() float64 {
-	widest := m.in
-	for _, l := range m.layers {
-		if len(l.b) > widest {
-			widest = len(l.b)
+func (m *MLPModel) BytesPerSample() float64 { return 16 * float64(m.widest) }
+
+// forward applies the layer to cur, writing len(l.b) activations to nxt.
+// Four outputs share each pass over cur; every output still sums its own
+// bias and products in input order, so the results are bit-identical to
+// computing one output at a time.
+func (l *denseLayer) forward(cur, nxt []float64) {
+	in := l.in
+	cur = cur[:in]
+	o := 0
+	for ; o+4 <= l.out; o += 4 {
+		w0 := l.w[o*in : (o+1)*in]
+		w1 := l.w[(o+1)*in : (o+2)*in]
+		w2 := l.w[(o+2)*in : (o+3)*in]
+		w3 := l.w[(o+3)*in : (o+4)*in]
+		s0, s1, s2, s3 := l.b[o], l.b[o+1], l.b[o+2], l.b[o+3]
+		for i, v := range cur {
+			s0 += w0[i] * v
+			s1 += w1[i] * v
+			s2 += w2[i] * v
+			s3 += w3[i] * v
 		}
+		if l.relu {
+			if s0 < 0 {
+				s0 = 0
+			}
+			if s1 < 0 {
+				s1 = 0
+			}
+			if s2 < 0 {
+				s2 = 0
+			}
+			if s3 < 0 {
+				s3 = 0
+			}
+		}
+		nxt[o], nxt[o+1], nxt[o+2], nxt[o+3] = s0, s1, s2, s3
 	}
-	return 16 * float64(widest)
+	for ; o < l.out; o++ {
+		s := l.b[o]
+		w := l.w[o*in : (o+1)*in]
+		for i, v := range cur {
+			s += w[i] * v
+		}
+		if l.relu && s < 0 {
+			s = 0
+		}
+		nxt[o] = s
+	}
 }
 
-// forwardRow evaluates one sample, ping-ponging between the caller's two
-// scratch activation buffers (each sized to the widest layer).
-func (m *MLPModel) forwardRow(row, bufA, bufB []float64) float64 {
-	cur := bufA[:len(row)]
-	copy(cur, row)
-	spare := bufB
-	for _, l := range m.layers {
-		nxt := spare[:len(l.b)]
-		for o := range l.w {
-			s := l.b[o]
-			w := l.w[o]
-			for i, v := range cur {
-				s += w[i] * v
-			}
-			if l.relu && s < 0 {
-				s = 0
-			}
-			nxt[o] = s
+// stackWidth is the widest activation PredictBatch keeps on the stack.
+const stackWidth = 64
+
+// forwardRows evaluates rows[lo:hi] into out, ping-ponging activations
+// between the two halves of buf (each at least m.widest long).
+func (m *MLPModel) forwardRows(rows [][]float64, out []float64, lo, hi int, buf []float64) {
+	bufA, bufB := buf[:m.widest], buf[m.widest:2*m.widest]
+	for r := lo; r < hi; r++ {
+		if len(rows[r]) != m.in {
+			panic(fmt.Sprintf("serve: %d features for an MLP of input width %d", len(rows[r]), m.in))
 		}
-		cur, spare = nxt, cur[:cap(cur)]
+		cur, spare := bufA, bufB
+		copy(cur, rows[r])
+		for i := range m.layers {
+			m.layers[i].forward(cur, spare)
+			cur, spare = spare, cur
+		}
+		out[r] = cur[0]
 	}
-	return cur[0]
 }
 
-// PredictBatch implements Model.
+// PredictBatch implements Model. Each chunk's activations live on its
+// goroutine's stack unless a layer is wider than stackWidth.
 func (m *MLPModel) PredictBatch(pool *parallel.WorkerPool, workers int, rows [][]float64, out []float64) {
-	widest := m.in
-	for _, l := range m.layers {
-		if len(l.b) > widest {
-			widest = len(l.b)
-		}
-	}
 	pool.RunRangeMax(workers, len(rows), batchGrain, func(lo, hi int) {
-		bufA := make([]float64, widest)
-		bufB := make([]float64, widest)
-		for i := lo; i < hi; i++ {
-			out[i] = m.forwardRow(rows[i], bufA, bufB)
+		var stack [2 * stackWidth]float64
+		buf := stack[:]
+		if m.widest > stackWidth {
+			buf = make([]float64, 2*m.widest)
 		}
+		m.forwardRows(rows, out, lo, hi, buf)
 	})
 }
 

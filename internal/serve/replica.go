@@ -14,7 +14,10 @@ type replicaPool struct {
 	// past means free. A lost replica is marked with busyUntil = +inf.
 	busyUntil []units.Seconds
 	lost      []bool
-	waiting   [][]Request // closed batches awaiting a free replica, FIFO
+	// waiting holds the closed batches awaiting a free replica, oldest at
+	// waiting[head].
+	waiting [][]Request
+	head    int
 
 	started   int // batches dispatched into service
 	lostCount int
@@ -38,6 +41,23 @@ func (p *replicaPool) free(t units.Seconds) int {
 		}
 	}
 	return -1
+}
+
+// backlog is the number of waiting batches.
+func (p *replicaPool) backlog() int { return len(p.waiting) - p.head }
+
+// next pops the oldest waiting batch. Once half the array is consumed the
+// rest moves to the front, so the queue reuses one array instead of
+// reallocating as it slides.
+func (p *replicaPool) next() []Request {
+	b := p.waiting[p.head]
+	p.head++
+	if 2*p.head >= len(p.waiting) {
+		n := copy(p.waiting, p.waiting[p.head:])
+		clear(p.waiting[n:])
+		p.waiting, p.head = p.waiting[:n], 0
+	}
+	return b
 }
 
 // alive reports how many replicas remain.

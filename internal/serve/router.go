@@ -119,6 +119,27 @@ type modelState struct {
 	served     int
 }
 
+// router is one run's event-loop state. Arrivals stream from the sorted
+// request slice; the simulator's queue holds only batch completions,
+// batch deadlines, and replica loss and repair.
+type router struct {
+	states  []*modelState
+	byName  map[string]int
+	pricer  Pricer
+	pool    *parallel.WorkerPool
+	workers int
+	link    func(units.Seconds) float64
+	o       *obs.Observer
+	rep     *Report
+
+	// rows is the PredictBatch input scratch, reused by every batch: the
+	// kernel returns before the next batch starts.
+	rows [][]float64
+	// outs is the slab every batch's predictions are carved from. A
+	// request is served in at most one batch, so len(requests) suffices.
+	outs []float64
+}
+
 // Run drives the request stream through admission, micro-batching, and
 // replica dispatch on the simulated clock, running real inference kernels
 // for every served batch. Requests are sorted by (Arrival, ID) first, so
@@ -138,52 +159,53 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	if cfg.Admission.QueueCap == 0 {
 		cfg.Admission = DefaultAdmission(replicas, cfg.Batch.MaxBatch)
 	}
-	pricer := PricerFor(cfg.Platform)
+	rt := &router{
+		pricer:  PricerFor(cfg.Platform),
+		pool:    cfg.Pool,
+		workers: cfg.Workers,
+		link:    cfg.LinkFactorAt,
+		o:       cfg.Obs,
+		byName:  make(map[string]int, len(cfg.Models)),
+	}
 	if cfg.Pricer != nil {
-		pricer = *cfg.Pricer
+		rt.pricer = *cfg.Pricer
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = parallel.Shared()
+	if rt.pool == nil {
+		rt.pool = parallel.Shared()
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = pool.Workers()
+	if rt.workers <= 0 {
+		rt.workers = rt.pool.Workers()
 	}
-	link := cfg.LinkFactorAt
-	linkAt := func(t units.Seconds) float64 {
-		if link == nil {
-			return 1
-		}
-		f := link(t)
-		if f < 0.01 {
-			f = 0.01
-		}
-		if f > 1 {
-			f = 1
-		}
-		return f
-	}
-	o := cfg.Obs
-
-	states := make([]*modelState, len(cfg.Models))
-	byName := make(map[string]int, len(cfg.Models))
 	for i, m := range cfg.Models {
-		if _, dup := byName[m.Name()]; dup {
+		if _, dup := rt.byName[m.Name()]; dup {
 			return nil, fmt.Errorf("serve: duplicate model name %q", m.Name())
 		}
-		byName[m.Name()] = i
-		states[i] = &modelState{
-			m:        m,
-			admit:    newAdmitQueue(cfg.Admission),
-			batch:    newBatcher(cfg.Batch),
-			replicas: newReplicaPool(replicas),
-		}
+		rt.byName[m.Name()] = i
 	}
 
-	rep := &Report{
+	sorted := sortRequests(reqs)
+	routed := make([]int, len(cfg.Models))
+	for i := range sorted {
+		if mi, ok := rt.byName[sorted[i].Model]; ok {
+			routed[mi]++
+		}
+	}
+	rt.states = make([]*modelState, len(cfg.Models))
+	for i, m := range cfg.Models {
+		rt.states[i] = &modelState{
+			m:     m,
+			admit: newAdmitQueue(cfg.Admission),
+			// Sized to every request routed here, the open batch appends
+			// in place and batches are sealed sub-slices of one array.
+			batch:     newBatcher(cfg.Batch, routed[i]),
+			replicas:  newReplicaPool(replicas),
+			latencies: make([]float64, 0, routed[i]),
+		}
+	}
+	rt.outs = make([]float64, len(sorted))
+	rt.rep = &Report{
 		Platform: cfg.Platform.Name,
-		Workers:  workers,
+		Workers:  rt.workers,
 		Replicas: replicas,
 		Requests: len(reqs),
 		// Most requests get served; presizing keeps the hot loop free of
@@ -191,158 +213,20 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		Responses: make([]Response, 0, len(reqs)),
 	}
 
-	sorted := sortRequests(reqs)
 	sim := des.New()
-
-	// start services a batch on a replica: releases the admission ledger,
-	// runs the real inference kernel, and schedules completion at the
-	// roofline-priced service time (inflated while links are degraded).
-	var drain func(s *des.Sim, mi int)
-	start := func(s *des.Sim, mi, replica int, batch []Request) {
-		st := states[mi]
-		now := units.Seconds(s.Now())
-		st.admit.release(len(batch))
-		if o != nil {
-			o.Set("serve.queue."+st.m.Name(), float64(st.admit.depth))
-		}
-		rows := make([][]float64, len(batch))
-		for i, r := range batch {
-			rows[i] = r.Features
-		}
-		out := make([]float64, len(batch))
-		st.m.PredictBatch(pool, workers, rows, out)
-		svc := pricer.ServiceTime(st.m, len(batch)) / units.Seconds(linkAt(now))
-		done := now + svc
-		st.replicas.busyUntil[replica] = done
-		st.replicas.started++
-		st.batchSizes = append(st.batchSizes, len(batch))
-		// The obs layer is nil-safe, but its labels are built at the call
-		// site; guarding keeps the unobserved hot path allocation-free.
-		if o != nil {
-			o.Observe("serve.batch.size", float64(len(batch)))
-			o.Span("serve/"+st.m.Name(), "serve", fmt.Sprintf("batch/%d", len(batch)), now, svc,
-				obs.Num("rows", float64(len(batch))), obs.Num("replica", float64(replica)))
-		}
-		bcopy := batch
-		s.At(float64(done), func(s *des.Sim) {
-			rtt := pricer.RTT / units.Seconds(linkAt(done))
-			for i, rq := range bcopy {
-				resp := Response{
-					ID: rq.ID, Model: rq.Model, Tier: rq.Tier, Value: out[i],
-					Arrival: rq.Arrival, Done: done + rtt,
-					BatchSize: len(bcopy), Replica: replica,
-				}
-				rep.Responses = append(rep.Responses, resp)
-				rep.Checksum += resp.Value
-				lat := float64(resp.Latency())
-				st.latencies = append(st.latencies, lat)
-				st.served++
-				if o != nil {
-					o.Observe("serve.latency_ms."+rq.Tier.String(), lat*1e3)
-					o.Span("serve/"+rq.Model+"/req", "serve", rq.Tier.String(), rq.Arrival, resp.Done-rq.Arrival,
-						obs.Num("id", float64(rq.ID)), obs.Num("batch", float64(len(bcopy))))
-				}
-			}
-			drain(s, mi)
-		})
-	}
-	drain = func(s *des.Sim, mi int) {
-		st := states[mi]
-		now := units.Seconds(s.Now())
-		for len(st.replicas.waiting) > 0 {
-			r := st.replicas.free(now)
-			if r < 0 {
-				return
-			}
-			batch := st.replicas.waiting[0]
-			st.replicas.waiting = st.replicas.waiting[1:]
-			start(s, mi, r, batch)
-		}
-	}
-	dispatch := func(s *des.Sim, mi int, batch []Request) {
-		states[mi].replicas.waiting = append(states[mi].replicas.waiting, batch)
-		drain(s, mi)
-	}
-
-	for _, r := range sorted {
-		r := r
-		sim.At(float64(r.Arrival), func(s *des.Sim) {
-			now := units.Seconds(s.Now())
-			mi, ok := byName[r.Model]
-			if !ok {
-				rep.Rejections = append(rep.Rejections, Rejection{
-					ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectUnknownModel, At: now,
-				})
-				o.Inc("serve.reject.unknown_model")
-				return
-			}
-			st := states[mi]
-			st.admit.requests++
-			if o != nil {
-				o.Inc("serve.requests")
-			}
-			if rej := st.admit.offer(r, now); rej != nil {
-				rep.Rejections = append(rep.Rejections, *rej)
-				if o != nil {
-					o.Inc("serve.reject." + rej.Code.String())
-				}
-				return
-			}
-			if o != nil {
-				o.Set("serve.queue."+r.Model, float64(st.admit.depth))
-			}
-			closed, deadline := st.batch.add(r)
-			if closed != nil {
-				dispatch(s, mi, closed)
-				return
-			}
-			if deadline {
-				epoch := st.batch.epoch
-				s.At(float64(now+st.batch.cfg.MaxDelay), func(s *des.Sim) {
-					if b := st.batch.expire(epoch); b != nil {
-						dispatch(s, mi, b)
-					}
-				})
-			}
-		})
-	}
-
-	// Chaos threading: replica losses hit the model with the most live
-	// replicas (ties to the lowest model index), repairs return capacity
-	// to the model with the fewest.
 	for _, t := range cfg.ReplicaFails {
-		sim.At(float64(t), func(s *des.Sim) {
-			best, most := -1, -1
-			for i, st := range states {
-				if a := st.replicas.alive(); a > most && a > 0 {
-					best, most = i, a
-				}
-			}
-			if best >= 0 {
-				states[best].replicas.fail()
-				o.Inc("serve.replica.lost")
-				o.Set("serve.replicas."+states[best].m.Name(), float64(states[best].replicas.alive()))
-			}
-		})
+		sim.At(float64(t), rt.loseReplica)
 	}
 	for _, t := range cfg.ReplicaRepairs {
-		sim.At(float64(t), func(s *des.Sim) {
-			best, fewest := -1, replicas+1
-			for i, st := range states {
-				if st.replicas.lostCount > 0 && st.replicas.alive() < fewest && st.replicas.anyLost() {
-					best, fewest = i, st.replicas.alive()
-				}
-			}
-			if best >= 0 {
-				states[best].replicas.repair()
-				o.Inc("serve.replica.repaired")
-				o.Set("serve.replicas."+states[best].m.Name(), float64(states[best].replicas.alive()))
-				drain(s, best)
-			}
-		})
+		sim.At(float64(t), rt.repairReplica)
 	}
-
 	maxEvents := 8*len(sorted) + 4*(len(cfg.ReplicaFails)+len(cfg.ReplicaRepairs)) + 1024
+	for i := range sorted {
+		if !sim.RunBefore(float64(sorted[i].Arrival), maxEvents) {
+			break
+		}
+		rt.arrive(sim, &sorted[i])
+	}
 	end := units.Seconds(sim.Run(maxEvents))
 	if sim.Pending() > 0 {
 		return nil, fmt.Errorf("serve: event budget exhausted with %d events pending", sim.Pending())
@@ -352,9 +236,180 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	if horizon <= 0 {
 		horizon = end
 	}
-	rep.Horizon = horizon
-	finish(rep, states, pricer, cfg.Batch)
-	return rep, nil
+	rt.rep.Horizon = horizon
+	finish(rt.rep, rt.states, rt.pricer, cfg.Batch)
+	return rt.rep, nil
+}
+
+// linkAt is the interconnect health factor at t, clamped to [0.01, 1].
+func (rt *router) linkAt(t units.Seconds) float64 {
+	if rt.link == nil {
+		return 1
+	}
+	return min(max(rt.link(t), 0.01), 1)
+}
+
+// arrive admits one request at the current time, which RunBefore has set
+// to its arrival: it routes the request to its model, offers it to the
+// admission queue, and adds it to the open batch, dispatching the batch
+// when it fills and arming its deadline when it opens.
+func (rt *router) arrive(s *des.Sim, r *Request) {
+	o := rt.o
+	now := units.Seconds(s.Now())
+	mi, ok := rt.byName[r.Model]
+	if !ok {
+		rt.rep.Rejections = append(rt.rep.Rejections, Rejection{
+			ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectUnknownModel, At: now,
+		})
+		o.Inc("serve.reject.unknown_model")
+		return
+	}
+	st := rt.states[mi]
+	st.admit.requests++
+	if o != nil {
+		o.Inc("serve.requests")
+	}
+	if rej := st.admit.offer(*r, now); rej != nil {
+		rt.rep.Rejections = append(rt.rep.Rejections, *rej)
+		if o != nil {
+			o.Inc("serve.reject." + rej.Code.String())
+		}
+		return
+	}
+	if o != nil {
+		o.Set("serve.queue."+r.Model, float64(st.admit.depth))
+	}
+	closed, deadline := st.batch.add(*r)
+	if closed != nil {
+		rt.dispatch(s, mi, closed)
+		return
+	}
+	if deadline {
+		epoch := st.batch.epoch
+		s.At(float64(now+st.batch.cfg.MaxDelay), func(s *des.Sim) {
+			if b := st.batch.expire(epoch); b != nil {
+				rt.dispatch(s, mi, b)
+			}
+		})
+	}
+}
+
+// dispatch queues a closed batch for its model's replicas.
+func (rt *router) dispatch(s *des.Sim, mi int, batch []Request) {
+	st := rt.states[mi]
+	st.replicas.waiting = append(st.replicas.waiting, batch)
+	rt.drain(s, mi)
+}
+
+// drain starts waiting batches on free replicas, in FIFO order.
+func (rt *router) drain(s *des.Sim, mi int) {
+	st := rt.states[mi]
+	now := units.Seconds(s.Now())
+	for st.replicas.backlog() > 0 {
+		r := st.replicas.free(now)
+		if r < 0 {
+			return
+		}
+		rt.start(s, mi, r, st.replicas.next())
+	}
+}
+
+// start services a batch on a replica: releases the admission ledger,
+// runs the real inference kernel, and schedules completion at the
+// roofline-priced service time (inflated while links are degraded).
+func (rt *router) start(s *des.Sim, mi, replica int, batch []Request) {
+	st := rt.states[mi]
+	o := rt.o
+	now := units.Seconds(s.Now())
+	st.admit.release(len(batch))
+	if o != nil {
+		o.Set("serve.queue."+st.m.Name(), float64(st.admit.depth))
+	}
+	rows := rt.rows[:0]
+	for i := range batch {
+		rows = append(rows, batch[i].Features)
+	}
+	rt.rows = rows
+	n := len(batch)
+	out := rt.outs[:n:n]
+	rt.outs = rt.outs[n:]
+	st.m.PredictBatch(rt.pool, rt.workers, rows, out)
+	svc := rt.pricer.ServiceTime(st.m, n) / units.Seconds(rt.linkAt(now))
+	done := now + svc
+	st.replicas.busyUntil[replica] = done
+	st.replicas.started++
+	st.batchSizes = append(st.batchSizes, n)
+	// The obs layer is nil-safe, but its labels are built at the call
+	// site; guarding keeps the unobserved hot path allocation-free.
+	if o != nil {
+		o.Observe("serve.batch.size", float64(n))
+		o.Span("serve/"+st.m.Name(), "serve", fmt.Sprintf("batch/%d", n), now, svc,
+			obs.Num("rows", float64(n)), obs.Num("replica", float64(replica)))
+	}
+	s.At(float64(done), func(s *des.Sim) { rt.complete(s, mi, replica, batch, out) })
+}
+
+// complete records a finished batch's responses and refills the model's
+// free replicas from its backlog.
+func (rt *router) complete(s *des.Sim, mi, replica int, batch []Request, out []float64) {
+	st := rt.states[mi]
+	o := rt.o
+	done := units.Seconds(s.Now())
+	rtt := rt.pricer.RTT / units.Seconds(rt.linkAt(done))
+	for i := range batch {
+		rq := &batch[i]
+		resp := Response{
+			ID: rq.ID, Model: rq.Model, Tier: rq.Tier, Value: out[i],
+			Arrival: rq.Arrival, Done: done + rtt,
+			BatchSize: len(batch), Replica: replica,
+		}
+		rt.rep.Responses = append(rt.rep.Responses, resp)
+		rt.rep.Checksum += resp.Value
+		lat := float64(resp.Latency())
+		st.latencies = append(st.latencies, lat)
+		st.served++
+		if o != nil {
+			o.Observe("serve.latency_ms."+rq.Tier.String(), lat*1e3)
+			o.Span("serve/"+rq.Model+"/req", "serve", rq.Tier.String(), rq.Arrival, resp.Done-rq.Arrival,
+				obs.Num("id", float64(rq.ID)), obs.Num("batch", float64(len(batch))))
+		}
+	}
+	rt.drain(s, mi)
+}
+
+// loseReplica is a chaos replica loss: it hits the model with the most
+// live replicas, ties to the lowest model index.
+func (rt *router) loseReplica(s *des.Sim) {
+	best, most := -1, -1
+	for i, st := range rt.states {
+		if a := st.replicas.alive(); a > most && a > 0 {
+			best, most = i, a
+		}
+	}
+	if best >= 0 {
+		st := rt.states[best]
+		st.replicas.fail()
+		rt.o.Inc("serve.replica.lost")
+		rt.o.Set("serve.replicas."+st.m.Name(), float64(st.replicas.alive()))
+	}
+}
+
+// repairReplica returns capacity to the model with the fewest live
+// replicas among those with one lost, ties to the lowest model index.
+func (rt *router) repairReplica(s *des.Sim) {
+	best, fewest := -1, 0
+	for i, st := range rt.states {
+		if st.replicas.lostCount > 0 && st.replicas.anyLost() && (best < 0 || st.replicas.alive() < fewest) {
+			best, fewest = i, st.replicas.alive()
+		}
+	}
+	if best >= 0 {
+		st := rt.states[best]
+		st.replicas.repair()
+		rt.o.Inc("serve.replica.repaired")
+		rt.o.Set("serve.replicas."+st.m.Name(), float64(st.replicas.alive()))
+		rt.drain(s, best)
+	}
 }
 
 // finish folds per-model state into the report's summary fields.

@@ -347,7 +347,7 @@ func TestRenderDeterministic(t *testing.T) {
 }
 
 func TestBatcherSizeAndDeadline(t *testing.T) {
-	b := newBatcher(BatchConfig{MaxBatch: 3, MaxDelay: 1})
+	b := newBatcher(BatchConfig{MaxBatch: 3, MaxDelay: 1}, 0)
 	var closed []Request
 	for i := 1; i <= 3; i++ {
 		c, deadline := b.add(Request{ID: uint64(i)})

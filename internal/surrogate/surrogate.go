@@ -155,7 +155,8 @@ func SelectByBIC(x [][]float64, y []float64, lambda float64) (*Ridge, int, error
 	return best, bestK, nil
 }
 
-// treeNode is one node of a regression tree.
+// treeNode is one node of a regression tree as FitForest grows it. A
+// fitted forest keeps only the flat layout built from these.
 type treeNode struct {
 	feature int
 	thresh  float64
@@ -163,31 +164,103 @@ type treeNode struct {
 	lo, hi  *treeNode
 }
 
+// split is one internal node of the flat layout: x[feature] <= thresh
+// goes to the left child.
+type split struct {
+	thresh  float64
+	feature int
+}
+
 // RandomForest is a bagged ensemble of depth-limited regression trees —
 // Glaser et al.'s scoring-function family.
+//
+// The trees are stored flat, as complete binary trees of one common depth
+// indexed like a heap: tree t's internal nodes are splits[t*(2^depth-1):]
+// and its leaves are leaves[t<<depth:]. A leaf the fit placed above that
+// depth is pushed down: its slot becomes a split whose two subtrees carry
+// the same value, so every walk takes exactly depth steps over contiguous
+// memory and lands on the value the pointer tree would return. The layout
+// holds 2^(depth+1)-1 slots per tree, which suits the shallow forests
+// FitForest is used for.
 type RandomForest struct {
-	Trees    []*treeNode
 	MaxDepth int
 	MinLeaf  int
+
+	nTrees int
+	depth  int
+	splits []split
+	leaves []float64
 }
 
 // FitForest trains nTrees trees on bootstrap resamples with random feature
 // subsetting at each split.
 func FitForest(rng *stats.RNG, x [][]float64, y []float64, nTrees, maxDepth, minLeaf int) *RandomForest {
+	f := layoutForest(growTrees(rng, x, y, nTrees, maxDepth, minLeaf))
+	f.MaxDepth, f.MinLeaf = maxDepth, minLeaf
+	return f
+}
+
+// growTrees fits the ensemble's pointer trees.
+func growTrees(rng *stats.RNG, x [][]float64, y []float64, nTrees, maxDepth, minLeaf int) []*treeNode {
 	if len(x) == 0 || len(x) != len(y) {
 		panic("surrogate: bad forest dataset")
 	}
-	f := &RandomForest{MaxDepth: maxDepth, MinLeaf: minLeaf}
 	nFeat := len(x[0])
 	mtry := int(math.Max(1, math.Sqrt(float64(nFeat))))
-	for t := 0; t < nTrees; t++ {
+	trees := make([]*treeNode, nTrees)
+	for t := range trees {
 		idx := make([]int, len(x))
 		for i := range idx {
 			idx[i] = rng.Intn(len(x))
 		}
-		f.Trees = append(f.Trees, buildTree(rng, x, y, idx, maxDepth, minLeaf, mtry))
+		trees[t] = buildTree(rng, x, y, idx, maxDepth, minLeaf, mtry)
+	}
+	return trees
+}
+
+// layoutForest flattens pointer trees into the complete-tree layout.
+func layoutForest(trees []*treeNode) *RandomForest {
+	depth := 0
+	for _, t := range trees {
+		if d := t.height(); d > depth {
+			depth = d
+		}
+	}
+	inner, width := 1<<depth-1, 1<<depth
+	f := &RandomForest{
+		nTrees: len(trees),
+		depth:  depth,
+		splits: make([]split, len(trees)*inner),
+		leaves: make([]float64, len(trees)*width),
+	}
+	for t, root := range trees {
+		f.place(root, f.splits[t*inner:(t+1)*inner], f.leaves[t*width:(t+1)*width], 0, 0)
 	}
 	return f
+}
+
+// place writes node n into heap slot i at the given level of one tree.
+// Leaves above the bottom level fill every slot beneath them.
+func (f *RandomForest) place(n *treeNode, splits []split, leaves []float64, i, level int) {
+	if level == f.depth {
+		leaves[i-len(splits)] = n.value
+		return
+	}
+	lo, hi := n, n
+	if n.feature >= 0 {
+		splits[i] = split{thresh: n.thresh, feature: n.feature}
+		lo, hi = n.lo, n.hi
+	}
+	f.place(lo, splits, leaves, 2*i+1, level+1)
+	f.place(hi, splits, leaves, 2*i+2, level+1)
+}
+
+// height is the number of splits on the tree's longest root-to-leaf path.
+func (n *treeNode) height() int {
+	if n.feature < 0 {
+		return 0
+	}
+	return 1 + max(n.lo.height(), n.hi.height())
 }
 
 func buildTree(rng *stats.RNG, x [][]float64, y []float64, idx []int, depth, minLeaf, mtry int) *treeNode {
@@ -265,24 +338,70 @@ func splitSSE(x [][]float64, y []float64, idx []int, feat int, thresh float64, m
 	return sse, true
 }
 
-func (n *treeNode) predict(x []float64) float64 {
-	for n.feature >= 0 {
-		if x[n.feature] <= n.thresh {
-			n = n.lo
-		} else {
-			n = n.hi
-		}
-	}
-	return n.value
-}
+// NumTrees is the ensemble size.
+func (f *RandomForest) NumTrees() int { return f.nTrees }
 
-// Predict averages the ensemble.
+// Predict averages the ensemble, summing the trees in fit order.
 func (f *RandomForest) Predict(x []float64) float64 {
 	var s float64
-	for _, t := range f.Trees {
-		s += t.predict(x)
+	for t := range f.nTrees {
+		s += f.walk(t, x)
 	}
-	return s / float64(len(f.Trees))
+	return s / float64(f.nTrees)
+}
+
+// PredictRows sets out[i] = Predict(rows[i]), bit for bit: each row
+// still sums the trees in fit order. Rows go four at a time through each
+// tree, so four independent walks share the tree's cache lines and
+// overlap in the pipeline; a walk alone is one chain of dependent loads.
+func (f *RandomForest) PredictRows(rows [][]float64, out []float64) {
+	inner, nt := 1<<f.depth-1, float64(f.nTrees)
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		x0, x1, x2, x3 := rows[i], rows[i+1], rows[i+2], rows[i+3]
+		var s0, s1, s2, s3 float64
+		for t := range f.nTrees {
+			splits := f.splits[t*inner : (t+1)*inner]
+			j0, j1, j2, j3 := 0, 0, 0, 0
+			for range f.depth {
+				j0 = descend(&splits[j0], j0, x0)
+				j1 = descend(&splits[j1], j1, x1)
+				j2 = descend(&splits[j2], j2, x2)
+				j3 = descend(&splits[j3], j3, x3)
+			}
+			leaves := f.leaves[t<<f.depth : (t+1)<<f.depth]
+			s0 += leaves[j0-inner]
+			s1 += leaves[j1-inner]
+			s2 += leaves[j2-inner]
+			s3 += leaves[j3-inner]
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0/nt, s1/nt, s2/nt, s3/nt
+	}
+	for ; i < len(rows); i++ {
+		out[i] = f.Predict(rows[i])
+	}
+}
+
+// descend takes one step from heap slot i at split n.
+func descend(n *split, i int, x []float64) int {
+	right := 0
+	if !(x[n.feature] <= n.thresh) {
+		right = 1
+	}
+	return 2*i + 1 + right
+}
+
+// walk descends tree t for x and returns the leaf value. Every walk takes
+// exactly depth steps, and the branch choice is computed, not branched
+// on, so a walk never mispredicts.
+func (f *RandomForest) walk(t int, x []float64) float64 {
+	inner := 1<<f.depth - 1
+	splits := f.splits[t*inner : (t+1)*inner]
+	i := 0
+	for range f.depth {
+		i = descend(&splits[i], i, x)
+	}
+	return f.leaves[t<<f.depth+i-inner]
 }
 
 // MSE returns the forest's mean squared error on a dataset.
