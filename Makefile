@@ -26,8 +26,8 @@ help:
 	@echo "  bench-floors kernel floor rules only (Gemm 2x, MDForces 1.2x,"
 	@echo "             ServeHotPath batching 2x, CampaignHotPath 1.2x,"
 	@echo "             CheckpointDrain async 1.5x at >=4 cores;"
-	@echo "             TrainStep allocs <=45, ServeRun allocs <=16290"
-	@echo "             always), no baseline"
+	@echo "             TrainStep allocs <=45, ServeRun allocs <=16290,"
+	@echo "             ObsHotPathNil allocs 0 always), no baseline"
 	@echo "  repro      full reproduction report (cmd/summit-repro)"
 	@echo "  examples   run every example once"
 	@echo "  figures    regenerate the paper figures as SVG"
@@ -89,12 +89,13 @@ bench-check:
 # campaign evaluation parallel >= 1.2x serial, async checkpoint drain
 # >= 1.5x the synchronous stall — all only enforced when the run
 # recorded >= 4 cores) plus the deterministic allocs/op ceilings,
-# TrainStepAlloc/scratch <= 45 and ServeRun <= 16290 (3 per request). This is what CI's perf-smoke job runs: it
-# works on any runner, even one whose core count differs from the
-# committed baseline's.
+# TrainStepAlloc/scratch <= 45, ServeRun <= 16290 (3 per request) and
+# ObsHotPathNil == 0 (a nil observer is free). This is what CI's
+# perf-smoke job runs: it works on any runner, even one whose core count
+# differs from the committed baseline's.
 bench-floors:
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'Gemm|MDForces|TrainStepAlloc|ServeHotPath|ServeRun|CampaignHotPath|CheckpointDrain' -benchmem \
-		./internal/tensor/ ./internal/md/ ./internal/ddl/ ./internal/serve/ ./internal/bench/ ./internal/checkpoint/ \
+	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'Gemm|MDForces|TrainStepAlloc|ServeHotPath|ServeRun|CampaignHotPath|CheckpointDrain|ObsHotPathNil' -benchmem \
+		./internal/tensor/ ./internal/md/ ./internal/ddl/ ./internal/serve/ ./internal/bench/ ./internal/checkpoint/ ./internal/obs/ \
 		| $(GO) run ./cmd/summit-bench -floors
 
 # The §V resilience campaign's simulated-clock trace, viewable in

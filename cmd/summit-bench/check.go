@@ -57,6 +57,10 @@ const (
 	// and batches reuse the run's scratch and slabs, so the event loop
 	// allocates per batch, not per request.
 	maxServeRunAllocs = 16290
+	// maxObsNilAllocs caps ObsHotPathNil allocs/op: with no observer
+	// attached, instrumentation (a span with Num args, a counter, a
+	// series observation) must cost no allocation at all.
+	maxObsNilAllocs = 0
 )
 
 // allocRule is one allocs/op ceiling on a recorded benchmark.
@@ -70,6 +74,7 @@ type allocRule struct {
 var allocRules = []allocRule{
 	{"TrainStepAlloc/scratch", "BenchmarkTrainStepAlloc/scratch", maxTrainStepAllocs},
 	{"ServeRun", "BenchmarkServeRun", maxServeRunAllocs},
+	{"ObsHotPathNil", "BenchmarkObsHotPathNil", maxObsNilAllocs},
 }
 
 // ratioRule is one within-run speedup floor: numerator ns/op over

@@ -253,3 +253,21 @@ func TestServeRunAllocCeiling(t *testing.T) {
 		t.Fatalf("ServeRun ceiling missing from report lines:\n%s", joined)
 	}
 }
+
+func TestObsHotPathNilAllocCeiling(t *testing.T) {
+	// The nil observer is free: zero allocs passes.
+	fresh := doc(result{Name: "BenchmarkObsHotPathNil", NsPerOp: 1, AllocsPerOp: 0})
+	if _, failed := checkKernelFloors(fresh); len(failed) != 0 {
+		t.Fatalf("0 allocs/op failed the ObsHotPathNil ceiling: %v", failed)
+	}
+	// One escaped variadic args slice per span is a regression.
+	fresh = doc(result{Name: "BenchmarkObsHotPathNil", NsPerOp: 39, AllocsPerOp: 1})
+	lines, failed := checkKernelFloors(fresh)
+	if len(failed) != 1 || failed[0] != "ObsHotPathNil allocs" {
+		t.Fatalf("1 alloc/op not flagged: %v", failed)
+	}
+	if joined := strings.Join(lines, "\n"); !strings.Contains(joined, "ObsHotPathNil allocs/op") ||
+		!strings.Contains(joined, "(ceiling 0)  [REGRESSION]") {
+		t.Fatalf("ObsHotPathNil ceiling missing from report lines:\n%s", joined)
+	}
+}

@@ -97,15 +97,26 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(rep.Render())
+		var srep *chaos.SDCReport
 		if *sdc {
-			srep, err := chaos.RunSDC(sc, *seed, chaos.SDCConfig{Jobs: *jobs, Obs: ob})
+			srep, err = chaos.RunSDC(sc, *seed, chaos.SDCConfig{Jobs: *jobs, Obs: ob})
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Print(srep.Render())
 		}
 		if *check {
-			if err := chaos.CheckInvariants(sc, *seed, chaos.Config{Platform: p}); err != nil {
+			err = chaos.CheckInvariants(sc, *seed, chaos.Config{Platform: p})
+			if err == nil && len(sc.SDCs) > 0 {
+				// Verified recovery, on the -sdc report when there is one.
+				if srep == nil {
+					srep, err = chaos.RunSDC(sc, *seed, chaos.SDCConfig{Jobs: 1})
+				}
+				if err == nil {
+					err = chaos.CheckSDCInvariants(srep, sc)
+				}
+			}
+			if err != nil {
 				fmt.Printf("  INVARIANT VIOLATION: %v\n", err)
 				failed = true
 			} else {

@@ -72,7 +72,9 @@ cascade at 10m count 3 spacing 1m spread 4
 // TestBuiltinsHoldInvariants is the tentpole gate: every shipped scenario
 // compiles, runs across all five subsystems, and passes the full
 // invariant suite — replay determinism, non-negative time, byte
-// conservation, monotone degradation, and policies beating their absence.
+// conservation, monotone degradation, and policies beating their absence
+// — and every scenario with sdc bursts also proves verified recovery on
+// its ablation.
 func TestBuiltinsHoldInvariants(t *testing.T) {
 	for _, name := range Names() {
 		sc, err := Builtin(name)
@@ -80,6 +82,16 @@ func TestBuiltinsHoldInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := CheckInvariants(sc, 20220523, Config{}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if len(sc.SDCs) == 0 {
+			continue
+		}
+		rep, err := RunSDC(sc, 20220523, SDCConfig{Jobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckSDCInvariants(rep, sc); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -294,10 +294,12 @@ func (r *SDCReport) Render() string {
 	return b.String()
 }
 
-// CheckSDCInvariants proves the ablation's contract for one scenario:
+// CheckSDCInvariants proves the ablation's contract for the report r1,
+// which RunSDC produced for scenario sc at r1.Seed:
 //
-//  1. Replay determinism — two runs render byte-identically (at
-//     different Jobs, so worker count cannot leak into the report).
+//  1. Replay determinism — an independent rerun at Jobs 4 (r1 is usually
+//     a Jobs 1 run, so worker count cannot leak into the report) renders
+//     byte-identically and ends every leg in bit-identical parameters.
 //  2. Verified recovery — with guards armed, every flip is detected,
 //     detection costs lost work, and the final state is bit-identical
 //     to the undisturbed leg.
@@ -306,23 +308,25 @@ func (r *SDCReport) Render() string {
 //
 // Scenarios without sdc bursts degenerate cleanly: no injections, three
 // identical legs, nothing detected anywhere.
-func CheckSDCInvariants(sc *Scenario, seed uint64, cfg SDCConfig) error {
-	r1, err := RunSDC(sc, seed, SDCConfig{Jobs: 1, Obs: cfg.Obs})
+func CheckSDCInvariants(r1 *SDCReport, sc *Scenario) error {
+	if r1.Scenario != sc.Name {
+		return fmt.Errorf("chaos: sdc report is for %q, not %q", r1.Scenario, sc.Name)
+	}
+	r2, err := RunSDC(sc, r1.Seed, SDCConfig{Jobs: 4})
 	if err != nil {
 		return err
 	}
-	r2, err := RunSDC(sc, seed, SDCConfig{Jobs: 4})
-	if err != nil {
-		return err
-	}
-	if r1.Render() != r2.Render() {
-		return fmt.Errorf("chaos: sdc ablation replay diverged for %s seed %d", sc.Name, seed)
+	if r1.Render() != r2.Render() ||
+		!sameBits(r1.Clean.FinalParams, r2.Clean.FinalParams) ||
+		!sameBits(r1.On.FinalParams, r2.On.FinalParams) ||
+		!sameBits(r1.Off.FinalParams, r2.Off.FinalParams) {
+		return fmt.Errorf("chaos: sdc ablation replay diverged for %s seed %d", sc.Name, r1.Seed)
 	}
 	if r1.Clean.Detections != 0 || r1.Clean.Rollbacks != 0 {
 		return fmt.Errorf("chaos: clean leg reported faults: %d detections, %d rollbacks",
 			r1.Clean.Detections, r1.Clean.Rollbacks)
 	}
-	if !r1.OnMatchesClean {
+	if !r1.OnMatchesClean || !sameBits(r1.On.FinalParams, r1.Clean.FinalParams) {
 		return fmt.Errorf("chaos: detection-on final state diverged from the undisturbed run")
 	}
 	if r1.Off.Detections != 0 || r1.Off.Rollbacks != 0 {
@@ -348,4 +352,18 @@ func CheckSDCInvariants(sc *Scenario, seed uint64, cfg SDCConfig) error {
 		}
 	}
 	return nil
+}
+
+// sameBits reports whether two parameter vectors are identical bit for
+// bit (a NaN equals itself, unlike under ==).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -220,5 +221,49 @@ func TestRunSDCWithoutBursts(t *testing.T) {
 	}
 	if len(rep.Injections) != 0 || rep.On.Detections != 0 || !rep.OnMatchesClean || rep.OffCorrupted {
 		t.Fatalf("sdc-free ablation reported activity: %+v", rep)
+	}
+}
+
+// TestCheckSDCInvariantsRejectsTamperedReports: the check holds the
+// report it is handed to an independent replay, so a report whose final
+// state or detection count was altered after the run must fail it.
+func TestCheckSDCInvariantsRejectsTamperedReports(t *testing.T) {
+	sc, err := Builtin("sdc-storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunSDC(sc, 20220523, SDCConfig{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckSDCInvariants(rep, sc); err != nil {
+		t.Fatalf("untampered report rejected: %v", err)
+	}
+	withOn := func(edit func(on *ddl.GuardedResult)) *SDCReport {
+		r := *rep
+		on := *rep.On
+		on.FinalParams = append([]float64(nil), rep.On.FinalParams...)
+		edit(&on)
+		r.On = &on
+		return &r
+	}
+	other, err := Builtin("rack-cascade")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		rep  *SDCReport
+		sc   *Scenario
+	}{
+		{"one FinalParams bit flipped", withOn(func(on *ddl.GuardedResult) {
+			on.FinalParams[3] = math.Float64frombits(math.Float64bits(on.FinalParams[3]) ^ 1)
+		}), sc},
+		{"Detections changed", withOn(func(on *ddl.GuardedResult) { on.Detections++ }), sc},
+		{"report for another scenario", rep, other},
+	} {
+		if err := CheckSDCInvariants(tc.rep, tc.sc); err == nil {
+			t.Errorf("%s: tampered report passed the check", tc.name)
+		}
 	}
 }

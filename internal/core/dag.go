@@ -107,9 +107,9 @@ func keyCampaignStorm(p platform.Platform) string {
 
 // keySDCReport is platform-free: the guarded-training ablation injects
 // bit flips into an executable run and never consults the fabric, so
-// every machine shares one canonical report.
-func keySDCReport() string {
-	return "sub/chaos/sdc/sdc-storm"
+// every machine shares one canonical report per scenario.
+func keySDCReport(scenario string) string {
+	return "sub/chaos/sdc/" + scenario
 }
 
 // cachedStudy resolves the canonical reconstructed portfolio dataset
@@ -169,24 +169,41 @@ func cachedCampaignStorm(c *Cache, p platform.Platform, ob *obs.Observer) (*chao
 }
 
 // sdcOutcome carries the silent-data-corruption ablation through the
-// cache; the error is part of the memoized value.
+// cache together with its invariant verdict, so RS5 and RS3 share one
+// verified ablation. err is a failed run (rep is then nil); invariants
+// is chaos.CheckSDCInvariants' verdict on rep.
 type sdcOutcome struct {
-	rep *chaos.SDCReport
-	err error
+	rep        *chaos.SDCReport
+	invariants error
+	err        error
 }
 
-// cachedSDCReport resolves the guarded-training SDC ablation of one
-// scenario at the study seed.
-func cachedSDCReport(c *Cache, scenario string) (*chaos.SDCReport, error) {
-	out := c.get(keySDCReport(), func() any {
+// cachedSDC resolves the guarded-training SDC ablation of one scenario at
+// the study seed, checked against an independent replay.
+func cachedSDC(c *Cache, scenario string) sdcOutcome {
+	return c.get(keySDCReport(scenario), func() any {
 		sc, err := chaos.Builtin(scenario)
 		if err != nil {
-			return sdcOutcome{nil, err}
+			return sdcOutcome{err: err}
 		}
 		rep, err := chaos.RunSDC(sc, resilienceSeed, chaos.SDCConfig{})
-		return sdcOutcome{rep, err}
+		if err != nil {
+			return sdcOutcome{err: err}
+		}
+		return sdcOutcome{rep: rep, invariants: chaos.CheckSDCInvariants(rep, sc)}
 	}).(sdcOutcome)
-	return out.rep, out.err
+}
+
+// sdcScenarios lists the builtin scenarios that declare sdc bursts: the
+// ones whose ablation is a shared sub-result.
+func sdcScenarios() []string {
+	var out []string
+	for _, name := range chaos.Names() {
+		if sc, err := chaos.Builtin(name); err == nil && len(sc.SDCs) > 0 {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // subResultNode is one shared-intermediate node of the experiment DAG.
@@ -214,10 +231,13 @@ func subResultNodes(p platform.Platform) []subResultNode {
 		key: keyCampaignStorm(p),
 		run: func(c *Cache) { cachedCampaignStorm(c, p, nil) },
 	})
-	nodes = append(nodes, subResultNode{
-		key: keySDCReport(),
-		run: func(c *Cache) { cachedSDCReport(c, "sdc-storm") },
-	})
+	for _, name := range sdcScenarios() {
+		name := name
+		nodes = append(nodes, subResultNode{
+			key: keySDCReport(name),
+			run: func(c *Cache) { cachedSDC(c, name) },
+		})
+	}
 	return nodes
 }
 

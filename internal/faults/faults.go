@@ -182,19 +182,6 @@ type Trace struct {
 // seed: the same (params, seed, horizon) triple yields the same trace on
 // every platform and every run.
 func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
-	if p.Nodes <= 0 {
-		panic("faults: params need a positive node count")
-	}
-	if p.NodeMTBF <= 0 {
-		panic("faults: params need a positive node MTBF")
-	}
-	if horizon <= 0 {
-		panic("faults: trace horizon must be positive")
-	}
-	shape := p.Shape
-	if shape <= 0 {
-		shape = 1
-	}
 	root := stats.NewRNG(seed)
 	// Independent streams per process so adding one fault class never
 	// perturbs another class's schedule. The SDC streams split AFTER the
@@ -203,23 +190,9 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 	sdcRNG, tornRNG, staleRNG := root.Split(), root.Split(), root.Split()
 
 	tr := &Trace{Params: p, Seed: seed, Horizon: horizon}
-
-	// Fatal failures: a system-level renewal process at rate
-	// Nodes/NodeMTBF with Weibull(shape) inter-arrivals whose mean is the
-	// system MTBF (scale = mean / Γ(1+1/shape)).
-	sysMTBF := float64(p.SystemMTBF())
-	scale := sysMTBF / math.Gamma(1+1/shape)
-	for t := 0.0; ; {
-		t += failRNG.Weibull(shape, scale)
-		if t >= float64(horizon) {
-			break
-		}
-		tr.Events = append(tr.Events, Event{
-			Time: units.Seconds(t),
-			Kind: NodeFailure,
-			Node: failRNG.Intn(p.Nodes),
-		})
-	}
+	p.failures(failRNG, horizon, func(t units.Seconds, node int) {
+		tr.Events = append(tr.Events, Event{Time: t, Kind: NodeFailure, Node: node})
+	})
 
 	transient := func(rng *stats.RNG, mtbe units.Seconds, kind Kind,
 		dur units.Seconds, factor float64) {
@@ -280,6 +253,48 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 		return tr.Events[i].Time < tr.Events[j].Time
 	})
 	return tr
+}
+
+// FailureTimes draws only the fatal-failure onsets of the trace
+// Generate(seed, horizon) would produce, in order: exactly
+// Generate(seed, horizon).FailureTimes(). The failure stream is split
+// from the seed first and never shares draws with the other classes, so
+// skipping them changes no failure time.
+func (p Params) FailureTimes(seed uint64, horizon units.Seconds) []units.Seconds {
+	var out []units.Seconds
+	p.failures(stats.NewRNG(seed).Split(), horizon, func(t units.Seconds, _ int) {
+		out = append(out, t)
+	})
+	return out
+}
+
+// failures validates the parameters and runs the fatal-failure process
+// on rng: a system-level renewal process at rate Nodes/NodeMTBF with
+// Weibull(shape) inter-arrivals whose mean is the system MTBF (scale =
+// mean / Γ(1+1/shape)), emitting each onset before the horizon with the
+// node it hits.
+func (p Params) failures(rng *stats.RNG, horizon units.Seconds, emit func(t units.Seconds, node int)) {
+	if p.Nodes <= 0 {
+		panic("faults: params need a positive node count")
+	}
+	if p.NodeMTBF <= 0 {
+		panic("faults: params need a positive node MTBF")
+	}
+	if horizon <= 0 {
+		panic("faults: trace horizon must be positive")
+	}
+	shape := p.Shape
+	if shape <= 0 {
+		shape = 1
+	}
+	scale := float64(p.SystemMTBF()) / math.Gamma(1+1/shape)
+	for t := 0.0; ; {
+		t += rng.Weibull(shape, scale)
+		if t >= float64(horizon) {
+			return
+		}
+		emit(units.Seconds(t), rng.Intn(p.Nodes))
+	}
 }
 
 // Count returns the number of events of the given kind.

@@ -13,6 +13,33 @@ func summitParams() Params {
 	return ParamsFor(machine.Summit(), 4608)
 }
 
+// TestFailureTimesMatchesGenerate: drawing only the failure stream gives
+// exactly the failure times of the full trace, with every other fault
+// class on and off, memoryless and Weibull, at several job sizes.
+func TestFailureTimesMatchesGenerate(t *testing.T) {
+	withSDC := summitParams()
+	withSDC.SDCMTBE, withSDC.TornWriteMTBE, withSDC.StaleReplicaMTBE = 1e6, 3e6, 5e6
+	weibull := ParamsFor(machine.Summit(), 512)
+	weibull.Shape = 0.7
+	bare := ParamsFor(machine.Summit(), 64)
+	bare.StragglerMTBE, bare.LinkMTBE = 0, 0
+	for _, p := range []Params{summitParams(), withSDC, weibull, bare} {
+		for seed := uint64(0); seed < 20; seed++ {
+			horizon := units.Seconds(seed+1) * 6 * units.Hour
+			want := p.Generate(seed, horizon).FailureTimes()
+			got := p.FailureTimes(seed, horizon)
+			if len(got) != len(want) {
+				t.Fatalf("nodes %d seed %d: %d failures, Generate has %d", p.Nodes, seed, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+					t.Fatalf("nodes %d seed %d failure %d: %v, Generate has %v", p.Nodes, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestTraceDeterministic(t *testing.T) {
 	p := summitParams()
 	a := p.Generate(42, 24*units.Hour)
@@ -205,12 +232,12 @@ func TestSweepOptimumNearDaly(t *testing.T) {
 	p := summitParams()
 	shape := RunShape{TotalWork: 12 * units.Hour, CheckpointCost: 4, RestartCost: 180}
 	daly := DalyInterval(shape.CheckpointCost, p.SystemMTBF())
-	traces := make([]*Trace, 256)
-	for i := range traces {
-		traces[i] = p.Generate(uint64(1000+i), 10*24*units.Hour)
+	failureSets := make([][]units.Seconds, 256)
+	for i := range failureSets {
+		failureSets[i] = p.Generate(uint64(1000+i), 10*24*units.Hour).FailureTimes()
 	}
 	grid := GeometricIntervals(daly/6, daly*6, 41)
-	best := Optimum(Sweep(shape, grid, traces))
+	best := Optimum(Sweep(shape, grid, failureSets))
 	rel := math.Abs(float64(best.Interval-daly)) / float64(daly)
 	if rel > 0.15 {
 		t.Fatalf("measured optimum %v vs Daly %v (%.0f%% off)", best.Interval, daly, 100*rel)

@@ -197,7 +197,8 @@ func DalyOverhead(interval, ckptCost, systemMTBF units.Seconds) float64 {
 	return float64(ckptCost)/float64(interval) + float64(interval)/(2*float64(systemMTBF))
 }
 
-// SweepPoint is one checkpoint interval evaluated against a trace set.
+// SweepPoint is one checkpoint interval evaluated against a failure-set
+// collection.
 type SweepPoint struct {
 	Interval     units.Seconds
 	MeanWall     units.Seconds
@@ -206,17 +207,15 @@ type SweepPoint struct {
 	Efficiency   float64 // TotalWork/MeanWall
 }
 
-// Sweep simulates the run at every interval against every trace (common
-// random numbers: the same traces across all intervals, so the curve is
-// smooth in the interval and the argmin is statistically stable) and
-// returns one aggregated point per interval.
-func Sweep(shape RunShape, intervals []units.Seconds, traces []*Trace) []SweepPoint {
-	if len(intervals) == 0 || len(traces) == 0 {
-		panic("faults: sweep needs intervals and traces")
-	}
-	failureSets := make([][]units.Seconds, len(traces))
-	for i, tr := range traces {
-		failureSets[i] = tr.FailureTimes()
+// Sweep simulates the run at every interval against every failure set
+// (each a trace's FailureTimes; common random numbers: the same sets
+// across all intervals, so the curve is smooth in the interval and the
+// argmin is statistically stable) and returns one aggregated point per
+// interval. It takes the failure times rather than whole traces because
+// they are all the replay reads, so callers need not keep traces alive.
+func Sweep(shape RunShape, intervals []units.Seconds, failureSets [][]units.Seconds) []SweepPoint {
+	if len(intervals) == 0 || len(failureSets) == 0 {
+		panic("faults: sweep needs intervals and failure sets")
 	}
 	pts := make([]SweepPoint, len(intervals))
 	for i, iv := range intervals {
@@ -228,12 +227,12 @@ func Sweep(shape RunShape, intervals []units.Seconds, traces []*Trace) []SweepPo
 			wall += o.Wall
 			fails += o.Failures
 		}
-		mean := wall / units.Seconds(len(traces))
+		mean := wall / units.Seconds(len(failureSets))
 		pts[i] = SweepPoint{
 			Interval:     iv,
 			MeanWall:     mean,
 			Overhead:     float64(mean)/float64(shape.TotalWork) - 1,
-			MeanFailures: float64(fails) / float64(len(traces)),
+			MeanFailures: float64(fails) / float64(len(failureSets)),
 			Efficiency:   float64(shape.TotalWork) / float64(mean),
 		}
 	}

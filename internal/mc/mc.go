@@ -53,69 +53,76 @@ func (m LearnedModel) PairEnergy(like bool) float64 {
 	return m.UnlikeE
 }
 
-// Lattice is an L×L×L binary alloy at 50/50 composition.
+// Lattice is an L×L×L binary alloy at 50/50 composition. Site (x, y, z)
+// is Spins[(x*L+y)*L+z], with periodic boundaries.
 type Lattice struct {
 	L     int
 	Spins []int8 // +1 = species A, -1 = species B
 	Model EnergyModel
+
+	// nb[i] lists site i's six periodic neighbours in the order
+	// x+1, x-1, y+1, y-1, z+1, z-1; bond energies are summed in this
+	// order, so it fixes every energy's floating-point rounding.
+	nb [][6]int32
 }
 
 // NewLattice builds an L^3 lattice in the fully ordered (checkerboard)
-// state, the ground state of an ordering alloy.
+// state, the ground state of an ordering alloy, and its neighbour table.
 func NewLattice(l int, model EnergyModel) *Lattice {
-	lat := &Lattice{L: l, Spins: make([]int8, l*l*l), Model: model}
+	lat := &Lattice{L: l, Spins: make([]int8, l*l*l), Model: model, nb: make([][6]int32, l*l*l)}
+	wrap := func(c, d int) int { return (c + d + l) % l }
+	site := func(x, y, z int) int32 { return int32((x*l+y)*l + z) }
+	i := 0
 	for x := 0; x < l; x++ {
 		for y := 0; y < l; y++ {
 			for z := 0; z < l; z++ {
 				if (x+y+z)%2 == 0 {
-					lat.Spins[lat.idx(x, y, z)] = 1
+					lat.Spins[i] = 1
 				} else {
-					lat.Spins[lat.idx(x, y, z)] = -1
+					lat.Spins[i] = -1
 				}
+				lat.nb[i] = [6]int32{
+					site(wrap(x, 1), y, z), site(wrap(x, -1), y, z),
+					site(x, wrap(y, 1), z), site(x, wrap(y, -1), z),
+					site(x, y, wrap(z, 1)), site(x, y, wrap(z, -1)),
+				}
+				i++
 			}
 		}
 	}
 	return lat
 }
 
-func (l *Lattice) idx(x, y, z int) int {
-	m := l.L
-	x = (x%m + m) % m
-	y = (y%m + m) % m
-	z = (z%m + m) % m
-	return (x*m+y)*m + z
-}
-
 // N returns the site count.
 func (l *Lattice) N() int { return len(l.Spins) }
 
-func (l *Lattice) neighbors(i int) [6]int {
-	m := l.L
-	z := i % m
-	y := (i / m) % m
-	x := i / (m * m)
-	return [6]int{
-		l.idx(x+1, y, z), l.idx(x-1, y, z),
-		l.idx(x, y+1, z), l.idx(x, y-1, z),
-		l.idx(x, y, z+1), l.idx(x, y, z-1),
-	}
-}
-
-// siteEnergy returns the bond energy of site i with its neighbours.
-func (l *Lattice) siteEnergy(i int) float64 {
+// siteEnergy returns the bond energy of site i with its neighbours, given
+// the model's like and unlike bond energies.
+func (l *Lattice) siteEnergy(i int, like, unlike float64) float64 {
 	var e float64
 	si := l.Spins[i]
-	for _, j := range l.neighbors(i) {
-		e += l.Model.PairEnergy(si == l.Spins[j])
+	for _, j := range l.nb[i] {
+		if si == l.Spins[j] {
+			e += like
+		} else {
+			e += unlike
+		}
 	}
 	return e
 }
 
+// bondEnergies looks the model's two bond energies up once, so the hot
+// loops need no interface call per bond.
+func (l *Lattice) bondEnergies() (like, unlike float64) {
+	return l.Model.PairEnergy(true), l.Model.PairEnergy(false)
+}
+
 // TotalEnergy returns the configuration energy (each bond counted once).
 func (l *Lattice) TotalEnergy() float64 {
+	like, unlike := l.bondEnergies()
 	var e float64
 	for i := range l.Spins {
-		e += l.siteEnergy(i)
+		e += l.siteEnergy(i, like, unlike)
 	}
 	return e / 2
 }
@@ -125,8 +132,8 @@ func (l *Lattice) TotalEnergy() float64 {
 func (l *Lattice) BondCounts() (like, unlike int) {
 	for i := range l.Spins {
 		si := l.Spins[i]
-		for _, j := range l.neighbors(i) {
-			if j > i {
+		for _, j := range l.nb[i] {
+			if int(j) > i {
 				if si == l.Spins[j] {
 					like++
 				} else {
@@ -143,6 +150,7 @@ func (l *Lattice) BondCounts() (like, unlike int) {
 func (l *Lattice) OrderParameter() float64 {
 	var s float64
 	m := l.L
+	i := 0
 	for x := 0; x < m; x++ {
 		for y := 0; y < m; y++ {
 			for z := 0; z < m; z++ {
@@ -150,7 +158,8 @@ func (l *Lattice) OrderParameter() float64 {
 				if (x+y+z)%2 == 1 {
 					sign = -1
 				}
-				s += sign * float64(l.Spins[l.idx(x, y, z)])
+				s += sign * float64(l.Spins[i])
+				i++
 			}
 		}
 	}
@@ -163,16 +172,16 @@ func (l *Lattice) OrderParameter() float64 {
 func (l *Lattice) Sweep(rng *stats.RNG, temperature float64) float64 {
 	accepted := 0
 	n := l.N()
+	like, unlike := l.bondEnergies()
 	for t := 0; t < n; t++ {
 		i := rng.Intn(n)
-		nb := l.neighbors(i)
-		j := nb[rng.Intn(6)]
+		j := int(l.nb[i][rng.Intn(6)])
 		if l.Spins[i] == l.Spins[j] {
 			continue
 		}
-		before := l.siteEnergy(i) + l.siteEnergy(j)
+		before := l.siteEnergy(i, like, unlike) + l.siteEnergy(j, like, unlike)
 		l.Spins[i], l.Spins[j] = l.Spins[j], l.Spins[i]
-		after := l.siteEnergy(i) + l.siteEnergy(j)
+		after := l.siteEnergy(i, like, unlike) + l.siteEnergy(j, like, unlike)
 		dE := after - before
 		if dE <= 0 || rng.Float64() < math.Exp(-dE/temperature) {
 			accepted++

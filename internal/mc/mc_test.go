@@ -173,3 +173,105 @@ func TestSusceptibilityPeaksAtTransition(t *testing.T) {
 			cold, peak, hot)
 	}
 }
+
+// oracleIdx is the lattice's original div/mod site index with periodic
+// wrap, kept as the reference for the neighbour table.
+func oracleIdx(m, x, y, z int) int {
+	x = (x%m + m) % m
+	y = (y%m + m) % m
+	z = (z%m + m) % m
+	return (x*m+y)*m + z
+}
+
+// oracleNeighbors is the original per-bond neighbour computation.
+func oracleNeighbors(m, i int) [6]int {
+	z := i % m
+	y := (i / m) % m
+	x := i / (m * m)
+	return [6]int{
+		oracleIdx(m, x+1, y, z), oracleIdx(m, x-1, y, z),
+		oracleIdx(m, x, y+1, z), oracleIdx(m, x, y-1, z),
+		oracleIdx(m, x, y, z+1), oracleIdx(m, x, y, z-1),
+	}
+}
+
+// oracleSiteEnergy is the original interface-dispatched bond sum.
+func oracleSiteEnergy(l *Lattice, i int) float64 {
+	var e float64
+	si := l.Spins[i]
+	for _, j := range oracleNeighbors(l.L, i) {
+		e += l.Model.PairEnergy(si == l.Spins[j])
+	}
+	return e
+}
+
+// oracleSweep is the original Metropolis sweep over oracleSiteEnergy.
+func oracleSweep(l *Lattice, rng *stats.RNG, temperature float64) float64 {
+	accepted := 0
+	n := l.N()
+	for t := 0; t < n; t++ {
+		i := rng.Intn(n)
+		j := oracleNeighbors(l.L, i)[rng.Intn(6)]
+		if l.Spins[i] == l.Spins[j] {
+			continue
+		}
+		before := oracleSiteEnergy(l, i) + oracleSiteEnergy(l, j)
+		l.Spins[i], l.Spins[j] = l.Spins[j], l.Spins[i]
+		after := oracleSiteEnergy(l, i) + oracleSiteEnergy(l, j)
+		dE := after - before
+		if dE <= 0 || rng.Float64() < math.Exp(-dE/temperature) {
+			accepted++
+		} else {
+			l.Spins[i], l.Spins[j] = l.Spins[j], l.Spins[i]
+		}
+	}
+	return float64(accepted) / float64(n)
+}
+
+// TestNeighbourTableMatchesDivMod: the precomputed table lists exactly
+// the div/mod neighbours, in the same order, including the degenerate
+// sizes where a site is its own (L = 1) or doubled (L = 2) neighbour.
+func TestNeighbourTableMatchesDivMod(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 8} {
+		l := NewLattice(size, refModel())
+		for i := 0; i < l.N(); i++ {
+			want := oracleNeighbors(size, i)
+			for k, j := range l.nb[i] {
+				if int(j) != want[k] {
+					t.Fatalf("L=%d site %d neighbour %d = %d, div/mod says %d", size, i, k, j, want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestSweepMatchesInterfaceDispatch: sweeps with the table and the
+// once-per-sweep bond energies leave the same spins, acceptance and
+// energies, bit for bit, as the original per-bond interface calls, for
+// both energy models and from ordered and hot states.
+func TestSweepMatchesInterfaceDispatch(t *testing.T) {
+	for _, model := range []EnergyModel{refModel(), LearnedModel{LikeE: 0.83, UnlikeE: -1.07}} {
+		for _, temp := range []float64{0.7, 2.5, 40} {
+			got, want := NewLattice(6, model), NewLattice(6, model)
+			rg, rw := stats.NewRNG(17), stats.NewRNG(17)
+			for s := 0; s < 8; s++ {
+				ag, aw := got.Sweep(rg, temp), oracleSweep(want, rw, temp)
+				if math.Float64bits(ag) != math.Float64bits(aw) {
+					t.Fatalf("%T T=%v sweep %d: acceptance %v, oracle %v", model, temp, s, ag, aw)
+				}
+				for i := range got.Spins {
+					if got.Spins[i] != want.Spins[i] {
+						t.Fatalf("%T T=%v sweep %d: spin %d differs", model, temp, s, i)
+					}
+				}
+				var ew float64
+				for i := range want.Spins {
+					ew += oracleSiteEnergy(want, i)
+				}
+				if eg := got.TotalEnergy(); math.Float64bits(eg) != math.Float64bits(ew/2) {
+					t.Fatalf("%T T=%v sweep %d: energy %v, oracle %v", model, temp, s, eg, ew/2)
+				}
+			}
+		}
+	}
+}

@@ -42,19 +42,30 @@ func New() *Observer {
 	return &Observer{Metrics: NewRegistry(), Trace: NewTracer()}
 }
 
-// Span records a completed span on the simulated clock.
+// Span records a completed span on the simulated clock. On a nil
+// observer it must cost nothing: the recording lives out of line in span,
+// so Span always fits the compiler's inlining budget and a call site
+// compiles to one nil check, and since the tracer copies args rather
+// than keeping them, the variadic slice stays on the caller's stack.
 func (o *Observer) Span(track, cat, name string, start, dur units.Seconds, args ...Arg) {
-	if o == nil {
-		return
+	if o != nil {
+		o.span(track, cat, name, start, dur, args)
 	}
+}
+
+func (o *Observer) span(track, cat, name string, start, dur units.Seconds, args []Arg) {
 	o.Trace.Span(track, cat, name, start, dur, args...)
 }
 
-// Event records an instant event on the simulated clock.
+// Event records an instant event on the simulated clock; like Span it
+// inlines to a nil check on a nil observer.
 func (o *Observer) Event(track, cat, name string, at units.Seconds, args ...Arg) {
-	if o == nil {
-		return
+	if o != nil {
+		o.event(track, cat, name, at, args)
 	}
+}
+
+func (o *Observer) event(track, cat, name string, at units.Seconds, args []Arg) {
 	o.Trace.Event(track, cat, name, at, args...)
 }
 

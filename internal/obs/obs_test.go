@@ -190,3 +190,51 @@ func TestTracerTrackTids(t *testing.T) {
 		t.Fatal("tid assignment depends on emission order")
 	}
 }
+
+// TestNilObserverRecordsAllocateNothing pins the disabled-observer
+// contract: a nil observer's Span and Event, even with Num args, cost no
+// allocation — the variadic slice stays on the caller's stack.
+func TestNilObserverRecordsAllocateNothing(t *testing.T) {
+	var o *Observer
+	i := 0.0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		o.Span("rank-0", "train", "step", units.Seconds(i), 1, Num("step", i), Num("loss", 0.5))
+		o.Event("rank-0", "fault", "flip", units.Seconds(i), Num("word", i))
+	})
+	if allocs != 0 {
+		t.Fatalf("nil observer Span+Event: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestTracedRecordAllocsOnce: a live tracer pays exactly one allocation
+// per record that carries args (its private copy of them) and none for a
+// record without, once the record slice has room.
+func TestTracedRecordAllocsOnce(t *testing.T) {
+	o := New()
+	o.Trace.recs = make([]record, 0, 4096)
+	i := 0.0
+	withArgs := testing.AllocsPerRun(1000, func() {
+		i++
+		o.Span("rank-0", "train", "step", units.Seconds(i), 1, Num("step", i))
+	})
+	bare := testing.AllocsPerRun(1000, func() {
+		i++
+		o.Event("rank-0", "fault", "flip", units.Seconds(i))
+	})
+	if withArgs != 1 || bare != 0 {
+		t.Fatalf("allocs per record: %v with args, %v without; want 1 and 0", withArgs, bare)
+	}
+}
+
+// TestTracerCopiesArgs: a record keeps the args as they were at the call,
+// whatever the caller does with its slice afterwards.
+func TestTracerCopiesArgs(t *testing.T) {
+	tr := NewTracer()
+	args := []Arg{Num("step", 1)}
+	tr.Span("rank-0", "train", "step", 0, 1, args...)
+	args[0] = Num("step", 2)
+	if got := tr.snapshot()[0].args[0].Num; got != 1 {
+		t.Fatalf("recorded arg = %v after the caller reused its slice, want 1", got)
+	}
+}

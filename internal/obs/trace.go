@@ -52,22 +52,24 @@ func NewTracer() *Tracer { return &Tracer{} }
 
 // Span records a completed span: it started at start on the simulated
 // clock and lasted dur. Zero-duration spans are kept (they mark phases
-// that the model resolved to zero cost).
+// that the model resolved to zero cost). The record holds a copy of args,
+// so the caller's slice never escapes.
 func (t *Tracer) Span(track, cat, name string, start, dur units.Seconds, args ...Arg) {
 	if t == nil {
 		return
 	}
 	t.add(record{track: track, cat: cat, name: name,
-		start: float64(start), dur: float64(dur), args: args})
+		start: float64(start), dur: float64(dur), args: append([]Arg(nil), args...)})
 }
 
-// Event records an instant event at simulated time at.
+// Event records an instant event at simulated time at, copying args like
+// Span.
 func (t *Tracer) Event(track, cat, name string, at units.Seconds, args ...Arg) {
 	if t == nil {
 		return
 	}
 	t.add(record{track: track, cat: cat, name: name,
-		start: float64(at), instant: true, args: args})
+		start: float64(at), instant: true, args: append([]Arg(nil), args...)})
 }
 
 func (t *Tracer) add(r record) {

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"summitscale/internal/stats"
@@ -73,59 +74,102 @@ func (s *Scheduler) Schedule(jobs []Job) []Job {
 		return queue[i].ID < queue[j].ID
 	})
 
-	var placed []Job
+	var prof profile
+	placed := make([]Job, 0, len(queue))
 	for _, j := range queue {
 		if j.Nodes > s.TotalNodes {
 			panic(fmt.Sprintf("sched: job %d wants %d of %d nodes", j.ID, j.Nodes, s.TotalNodes))
 		}
-		j.Start = s.earliestStart(placed, j)
+		j.Start = prof.earliestStart(j, s.TotalNodes-j.Nodes)
 		j.End = j.Start + j.Walltime
+		prof.place(j)
 		placed = append(placed, j)
 	}
 	sort.SliceStable(placed, func(i, j int) bool { return placed[i].Start < placed[j].Start })
 	return placed
 }
 
-// earliestStart finds the first time >= j.Submit at which j.Nodes nodes
-// are continuously free for j.Walltime.
-func (s *Scheduler) earliestStart(placed []Job, j Job) float64 {
-	// Candidate start times: submission, and each placed job's end.
-	candidates := []float64{j.Submit}
-	for _, p := range placed {
-		if p.End > j.Submit {
-			candidates = append(candidates, p.End)
-		}
+// profile is the machine's node usage over time given the jobs placed so
+// far, maintained incrementally as each job is placed.
+//
+// Usage is a right-continuous step function: it rises at a job's Start,
+// falls at its End, and is constant in between. at holds its sorted
+// breakpoints (every placed Start and End) and busy[k] the nodes in use
+// on [at[k], at[k+1]); usage before at[0] is zero. ends holds every
+// placed job's End, sorted, since an End is the only moment a waiting
+// job can newly fit.
+type profile struct {
+	at   []float64
+	busy []int
+	ends []float64
+}
+
+// earliestStart finds the first candidate start t (j.Submit, then each
+// placed End after it, ascending) at which usage stays <= limit on all of
+// [t, t+Walltime). It checks usage at t and at every breakpoint inside
+// the window. Because usage only rises at a Start, its maximum over the
+// window is reached at t or at a Start inside it; the extra End
+// breakpoints never exceed that maximum, so this is exactly the test
+// "no point of [t, t+Walltime) is over-full".
+func (p *profile) earliestStart(j Job, limit int) float64 {
+	if p.fits(j.Submit, j.Walltime, limit) {
+		return j.Submit
 	}
-	sort.Float64s(candidates)
-	for _, t := range candidates {
-		if s.fits(placed, t, j) {
+	for _, t := range p.ends[sort.SearchFloat64s(p.ends, j.Submit):] {
+		if t > j.Submit && p.fits(t, j.Walltime, limit) {
 			return t
 		}
 	}
-	// Unreachable: the last candidate (all jobs done) always fits.
+	// Unreachable: after the last End the machine is idle.
 	panic("sched: no feasible start")
 }
 
-func (s *Scheduler) fits(placed []Job, t float64, j Job) bool {
-	// Check node availability at every event point in [t, t+Walltime).
-	points := []float64{t}
-	for _, p := range placed {
-		if p.Start > t && p.Start < t+j.Walltime {
-			points = append(points, p.Start)
-		}
+// fits reports whether usage stays <= limit at t and at every breakpoint
+// strictly inside (t, t+walltime).
+func (p *profile) fits(t, walltime float64, limit int) bool {
+	// k is the last breakpoint <= t: usage at t is busy[k].
+	k := sort.Search(len(p.at), func(i int) bool { return p.at[i] > t }) - 1
+	if k >= 0 && p.busy[k] > limit {
+		return false
 	}
-	for _, pt := range points {
-		used := 0
-		for _, p := range placed {
-			if p.Start <= pt && pt < p.End {
-				used += p.Nodes
-			}
-		}
-		if used+j.Nodes > s.TotalNodes {
+	end := t + walltime
+	for k++; k < len(p.at) && p.at[k] < end; k++ {
+		if p.busy[k] > limit {
 			return false
 		}
 	}
 	return true
+}
+
+// place adds j's nodes to the usage on [j.Start, j.End) and records its
+// End as a candidate start for later jobs. A job whose End does not
+// exceed its Start occupies no point in time and only adds the candidate.
+func (p *profile) place(j Job) {
+	p.ends = slices.Insert(p.ends, sort.SearchFloat64s(p.ends, j.End), j.End)
+	if !(j.Start < j.End) {
+		return
+	}
+	lo := p.breakpoint(j.Start)
+	hi := p.breakpoint(j.End)
+	for k := lo; k < hi; k++ {
+		p.busy[k] += j.Nodes
+	}
+}
+
+// breakpoint returns the index of breakpoint x, inserting it (carrying
+// the usage of the step it splits) if it is not there yet.
+func (p *profile) breakpoint(x float64) int {
+	i := sort.SearchFloat64s(p.at, x)
+	if i < len(p.at) && p.at[i] == x {
+		return i
+	}
+	prev := 0
+	if i > 0 {
+		prev = p.busy[i-1]
+	}
+	p.at = slices.Insert(p.at, i, x)
+	p.busy = slices.Insert(p.busy, i, prev)
+	return i
 }
 
 // Stats summarizes a schedule.

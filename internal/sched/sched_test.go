@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -352,5 +353,150 @@ func TestLogUniformIntBounds(t *testing.T) {
 	}
 	if logUniformInt(rng, 7, 7) != 7 {
 		t.Fatal("degenerate range")
+	}
+}
+
+// oracleSchedule is the scheduler's original O(n^3) placement, kept as
+// the reference the incremental usage profile must match bit for bit:
+// every candidate start (Submit, then each placed End after it) is
+// checked by rescanning every placed job at every placed Start inside
+// the window.
+func oracleSchedule(s *Scheduler, jobs []Job) []Job {
+	queue := append([]Job(nil), jobs...)
+	sort.SliceStable(queue, func(i, j int) bool {
+		if queue[i].Submit != queue[j].Submit {
+			return queue[i].Submit < queue[j].Submit
+		}
+		if s.CapabilityBoost && queue[i].Nodes != queue[j].Nodes {
+			return queue[i].Nodes > queue[j].Nodes
+		}
+		return queue[i].ID < queue[j].ID
+	})
+	var placed []Job
+	for _, j := range queue {
+		j.Start = oracleEarliestStart(s, placed, j)
+		j.End = j.Start + j.Walltime
+		placed = append(placed, j)
+	}
+	sort.SliceStable(placed, func(i, j int) bool { return placed[i].Start < placed[j].Start })
+	return placed
+}
+
+func oracleEarliestStart(s *Scheduler, placed []Job, j Job) float64 {
+	candidates := []float64{j.Submit}
+	for _, p := range placed {
+		if p.End > j.Submit {
+			candidates = append(candidates, p.End)
+		}
+	}
+	sort.Float64s(candidates)
+	for _, t := range candidates {
+		if oracleFits(s, placed, t, j) {
+			return t
+		}
+	}
+	panic("sched: no feasible start")
+}
+
+func oracleFits(s *Scheduler, placed []Job, t float64, j Job) bool {
+	points := []float64{t}
+	for _, p := range placed {
+		if p.Start > t && p.Start < t+j.Walltime {
+			points = append(points, p.Start)
+		}
+	}
+	for _, pt := range points {
+		used := 0
+		for _, p := range placed {
+			if p.Start <= pt && pt < p.End {
+				used += p.Nodes
+			}
+		}
+		if used+j.Nodes > s.TotalNodes {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSchedule reports the first job whose ID, Start or End differs
+// between two schedules, comparing times by bit pattern.
+func sameSchedule(t *testing.T, label string, got, want []Job) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d jobs placed, oracle %d", label, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.ID != w.ID || math.Float64bits(g.Start) != math.Float64bits(w.Start) ||
+			math.Float64bits(g.End) != math.Float64bits(w.End) {
+			t.Fatalf("%s: slot %d is job %d [%v, %v), oracle job %d [%v, %v)",
+				label, i, g.ID, g.Start, g.End, w.ID, w.Start, w.End)
+		}
+	}
+}
+
+// TestScheduleMatchesOracle holds the usage profile to the original
+// rescan over 400 random high-contention workloads on small machines.
+// The draws mix zero walltimes, fractional walltimes (so t+Walltime
+// rounds), many equal submit times, integer walltimes whose ends land
+// exactly on other jobs' starts, and whole-machine jobs.
+func TestScheduleMatchesOracle(t *testing.T) {
+	rng := stats.NewRNG(11)
+	for trial := 0; trial < 400; trial++ {
+		total := rng.Intn(12) + 1
+		n := rng.Intn(40) + 1
+		jobs := make([]Job, n)
+		for i := range jobs {
+			nodes := rng.Intn(total) + 1
+			if rng.Intn(6) == 0 {
+				nodes = total
+			}
+			var wall float64
+			switch rng.Intn(5) {
+			case 0:
+				wall = 0
+			case 1:
+				wall = rng.Float64() * 7
+			default:
+				wall = float64(rng.Intn(8) + 1)
+			}
+			submit := float64(rng.Intn(10))
+			if rng.Intn(4) == 0 {
+				submit += rng.Float64()
+			}
+			jobs[i] = Job{ID: i, Nodes: nodes, Walltime: wall, Submit: submit}
+		}
+		s := NewScheduler(total)
+		s.CapabilityBoost = trial%2 == 0
+		sameSchedule(t, "trial", s.Schedule(jobs), oracleSchedule(s, jobs))
+	}
+}
+
+// TestScheduleMatchesOracleOnOLCFWorkload: the same equivalence on a
+// synthesized §II-B workload at full machine size.
+func TestScheduleMatchesOracleOnOLCFWorkload(t *testing.T) {
+	jobs := SynthesizeWorkload(stats.NewRNG(5), OLCFShares(), 60_000, 24*3600)
+	s := NewScheduler(4608)
+	sameSchedule(t, "olcf", s.Schedule(jobs), oracleSchedule(s, jobs))
+}
+
+// TestWindowEndIsExclusive: a job whose window ends exactly where a
+// full-machine reservation begins fits in the gap before it. Treating the
+// window end as inclusive would push it past the reservation.
+func TestWindowEndIsExclusive(t *testing.T) {
+	s := NewScheduler(10)
+	s.CapabilityBoost = false // keep queue order 1, 2, 3
+	placed := s.Schedule([]Job{
+		{ID: 1, Nodes: 5, Walltime: 4, Submit: 0},  // [0, 4)
+		{ID: 2, Nodes: 10, Walltime: 5, Submit: 0}, // reserved [4, 9)
+		{ID: 3, Nodes: 5, Walltime: 4, Submit: 0},  // [0, 4) beside job 1
+	})
+	byID := map[int]Job{}
+	for _, j := range placed {
+		byID[j.ID] = j
+	}
+	if byID[2].Start != 4 || byID[3].Start != 0 {
+		t.Fatalf("starts: job 2 %v, job 3 %v; want 4 and 0", byID[2].Start, byID[3].Start)
 	}
 }
