@@ -14,8 +14,8 @@ help:
 	@echo "  bench      every benchmark with -benchmem"
 	@echo "  bench-json hot-path benchmarks (RunAll, DAGSchedule, MDForces,"
 	@echo "             TrainStepAlloc, Gemm, ObsHotPath, ChaosHotPath,"
-	@echo "             ServeHotPath, ServeRun, CampaignHotPath,"
-	@echo "             CheckpointDrain) -> BENCH_hotpath.json"
+	@echo "             ServeHotPath, ServeRun, CampaignHotPath)"
+	@echo "             -> BENCH_hotpath.json"
 	@echo "  trace      RS2 campaign trace -> out.json (Chrome trace-event)"
 	@echo "  chaos      every builtin adversarial scenario + invariant suite"
 	@echo "  fuzz-smoke short fuzz pass over the scenario parser, the"
@@ -24,8 +24,8 @@ help:
 	@echo "  bench-check rerun hot-path benchmarks and fail on >30% regression"
 	@echo "             vs the committed BENCH_hotpath.json"
 	@echo "  bench-floors kernel floor rules only (Gemm 2x, MDForces 1.2x,"
-	@echo "             ServeHotPath batching 2x, CampaignHotPath 1.2x,"
-	@echo "             CheckpointDrain async 1.5x at >=4 cores;"
+	@echo "             ServeHotPath batching 2x, CampaignHotPath 1.2x"
+	@echo "             at >=4 cores;"
 	@echo "             TrainStep allocs <=45, ServeRun allocs <=16290,"
 	@echo "             ObsHotPathNil allocs 0 always), no baseline"
 	@echo "  repro      full reproduction report (cmd/summit-repro)"
@@ -59,7 +59,7 @@ bench:
 
 # Hot-path numbers as JSON: the flat-vs-DAG experiment engine (plus the
 # DAGSchedule cold/warm ablation), the sharded MD force kernel, the
-# training-step allocation pair, the GEMM kernel ablation, the obs
+# training-step allocation pair, the GEMM row-stream/packed pair, the obs
 # instrumentation overhead, one full chaos scenario pass (compile the
 # perfect-storm spec + drive every subsystem probe), the serving layer
 # (the batched-vs-unbatched inference hot path plus a full simulated
@@ -67,7 +67,7 @@ bench:
 # panel depth is pinned via SUMMITSCALE_GEMM_KC so the wall-clock
 # autotuner can't pick a different blocking per run and shift every
 # GEMM-backed number.
-BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|CampaignHotPath|CheckpointDrain
+BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|CampaignHotPath
 BENCH_ENV = SUMMITSCALE_GEMM_KC=256
 bench-json:
 	$(BENCH_ENV) $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
@@ -86,16 +86,15 @@ bench-check:
 # Kernel floor rules without a baseline: ratios within one fresh run
 # (packed parallel GEMM >= 2x the serial row-stream, MD forces parallel
 # >= 1.2x serial, serving micro-batch >= 2x single-row dispatch,
-# campaign evaluation parallel >= 1.2x serial, async checkpoint drain
-# >= 1.5x the synchronous stall — all only enforced when the run
-# recorded >= 4 cores) plus the deterministic allocs/op ceilings,
+# campaign evaluation parallel >= 1.2x serial — all only enforced when
+# the run recorded >= 4 cores) plus the deterministic allocs/op ceilings,
 # TrainStepAlloc/scratch <= 45, ServeRun <= 16290 (3 per request) and
 # ObsHotPathNil == 0 (a nil observer is free). This is what CI's
 # perf-smoke job runs: it works on any runner, even one whose core count
 # differs from the committed baseline's.
 bench-floors:
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'Gemm|MDForces|TrainStepAlloc|ServeHotPath|ServeRun|CampaignHotPath|CheckpointDrain|ObsHotPathNil' -benchmem \
-		./internal/tensor/ ./internal/md/ ./internal/ddl/ ./internal/serve/ ./internal/bench/ ./internal/checkpoint/ ./internal/obs/ \
+	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'Gemm|MDForces|TrainStepAlloc|ServeHotPath|ServeRun|CampaignHotPath|ObsHotPathNil' -benchmem \
+		./internal/tensor/ ./internal/md/ ./internal/ddl/ ./internal/serve/ ./internal/bench/ ./internal/obs/ \
 		| $(GO) run ./cmd/summit-bench -floors
 
 # The §V resilience campaign's simulated-clock trace, viewable in

@@ -16,6 +16,7 @@ import (
 
 	"summitscale/internal/autograd"
 	"summitscale/internal/core"
+	"summitscale/internal/machine"
 	"summitscale/internal/mp"
 	"summitscale/internal/netsim"
 	"summitscale/internal/nn"
@@ -210,9 +211,10 @@ func BenchmarkPlatformScalingSweep(b *testing.B) {
 	}
 }
 
-// Ablation A1 — allreduce algorithm choice. The real collectives run at a
-// fixed vector size per sub-benchmark; the analytic crossover from the
-// netsim model is logged for comparison.
+// Ablation A1 — allreduce algorithm choice: the flat ring against the
+// two-level island collective (islands of 4 of the 8 ranks). The real
+// collectives run at a fixed vector size per sub-benchmark; the analytic
+// crossover from the netsim model is logged for comparison.
 
 func benchAllreduce(b *testing.B, algo string, n int) {
 	b.Helper()
@@ -233,10 +235,8 @@ func benchAllreduce(b *testing.B, algo string, n int) {
 			switch algo {
 			case "ring":
 				c.AllReduceRing(vecs[c.Rank()])
-			case "tree":
-				c.AllReduceTree(vecs[c.Rank()])
-			case "recdouble":
-				c.AllReduceRecursiveDoubling(vecs[c.Rank()])
+			case "hierarchical":
+				c.AllReduceHierarchical(vecs[c.Rank()], 4)
 			}
 		})
 	}
@@ -247,7 +247,7 @@ func BenchmarkAblationAllreduce(b *testing.B) {
 	b.Logf("analytic ring/doubling crossover at 4608 nodes: %v", f.RingTreeCrossover(4608))
 	for _, n := range []int{1 << 8, 1 << 14, 1 << 18} {
 		n := n
-		for _, algo := range []string{"ring", "tree", "recdouble"} {
+		for _, algo := range []string{"ring", "hierarchical"} {
 			algo := algo
 			b.Run(algo+"/"+itoa(n), func(b *testing.B) { benchAllreduce(b, algo, n) })
 		}
@@ -271,7 +271,7 @@ func itoa(n int) string {
 // shuffle). One iteration sweeps the whole grid through the model.
 
 func BenchmarkAblationStorage(b *testing.B) {
-	stager := storage.NewStager()
+	stager := storage.StagerFor(machine.Summit())
 	gpfs := storage.NewGPFS()
 	nvme := storage.NewNVMe()
 	dataset := 150 * units.TB // ImageNet-scale scientific dataset

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,65 +35,103 @@ import (
 	"summitscale/internal/tensor"
 )
 
-func buildOptimizer(name string, lr float64) optim.Optimizer {
+// buildOptimizer returns a constructor for the named optimizer, one
+// instance per rank.
+func buildOptimizer(name string, lr float64) (func() optim.Optimizer, error) {
 	switch name {
 	case "sgd":
-		return optim.NewSGD(lr)
+		return func() optim.Optimizer { return optim.NewSGD(lr) }, nil
 	case "momentum":
-		return optim.NewMomentumSGD(lr, 0.9)
+		return func() optim.Optimizer { return optim.NewMomentumSGD(lr, 0.9) }, nil
 	case "adam":
-		return optim.NewAdam(lr)
+		return func() optim.Optimizer { return optim.NewAdam(lr) }, nil
 	case "lars":
-		return optim.NewLARS(lr)
+		return func() optim.Optimizer { return optim.NewLARS(lr) }, nil
 	case "lamb":
-		return optim.NewLAMB(lr)
+		return func() optim.Optimizer { return optim.NewLAMB(lr) }, nil
 	default:
-		fmt.Fprintf(os.Stderr, "summit-train: unknown optimizer %q\n", name)
-		os.Exit(2)
-		return nil
+		return nil, fmt.Errorf("unknown optimizer %q", name)
 	}
 }
 
-func main() {
-	model := flag.String("model", "cnn", "cnn | mlp | bert | wavenet")
-	ranks := flag.Int("ranks", 4, "data-parallel ranks (goroutines)")
-	epochs := flag.Int("epochs", 10, "epochs (cnn/mlp)")
-	steps := flag.Int("steps", 30, "steps (bert)")
-	optName := flag.String("opt", "momentum", "sgd | momentum | adam | lars | lamb")
-	lr := flag.Float64("lr", 0.05, "learning rate")
-	fp16 := flag.Bool("fp16", false, "fp16 gradient compression")
-	accum := flag.Int("accum", 1, "gradient accumulation steps")
-	hier := flag.Int("hier", 0, "hierarchical allreduce island size (0 = flat ring, -1 = platform GPUs/node)")
-	plat := flag.String("platform", "summit", "machine whose node shape sizes -hier -1 islands")
-	ckpt := flag.String("ckpt", "", "checkpoint path: save after training, load first if present")
-	storeDir := flag.String("store", "", "tiered checkpoint store root (nvme/replica/gpfs subdirs): restore the newest restorable version first, commit a new version and drain it to every tier afterwards")
-	verifyCkpt := flag.String("verify-ckpt", "", "verify a checkpoint file's per-parameter CRC sections and exit (non-zero when any section is corrupt)")
-	seed := flag.Uint64("seed", 1, "seed")
-	traceOut := flag.String("trace", "", "write per-rank step/allreduce spans as Chrome trace-event JSON to this file (simulated step clock: 1 s per step)")
-	metrics := flag.Bool("metrics", false, "print the obs metrics summary after training")
-	flag.Parse()
+// models maps -model to its training loop.
+var models = map[string]func(*trainer){
+	"cnn":     (*trainer).trainCNN,
+	"mlp":     (*trainer).trainMLP,
+	"bert":    (*trainer).trainBERT,
+	"wavenet": (*trainer).trainWaveNet,
+}
 
-	if *verifyCkpt != "" {
-		verifyCheckpoint(*verifyCkpt)
-		return
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes progress to stdout and
+// diagnostics to stderr, and returns the exit status. Bad flags exit 2
+// before any training starts.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("summit-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "cnn", "cnn | mlp | bert | wavenet")
+	ranks := fs.Int("ranks", 4, "data-parallel ranks (goroutines)")
+	epochs := fs.Int("epochs", 10, "epochs (cnn/mlp)")
+	steps := fs.Int("steps", 30, "steps (bert)")
+	optName := fs.String("opt", "momentum", "sgd | momentum | adam | lars | lamb")
+	lr := fs.Float64("lr", 0.05, "learning rate")
+	fp16 := fs.Bool("fp16", false, "fp16 gradient compression")
+	accum := fs.Int("accum", 1, "gradient accumulation steps")
+	hier := fs.Int("hier", 0, "hierarchical allreduce island size (0 = flat ring, -1 = platform GPUs/node)")
+	plat := fs.String("platform", "summit", "machine whose node shape sizes -hier -1 islands")
+	ckpt := fs.String("ckpt", "", "checkpoint path: save after training, load first if present")
+	storeDir := fs.String("store", "", "tiered checkpoint store root (nvme/replica/gpfs subdirs): restore the newest restorable version first, commit a new version and drain it to every tier afterwards")
+	verifyCkpt := fs.String("verify-ckpt", "", "verify a checkpoint file's per-parameter CRC sections and exit (non-zero when any section is corrupt)")
+	seed := fs.Uint64("seed", 1, "seed")
+	traceOut := fs.String("trace", "", "write per-rank step/allreduce spans as Chrome trace-event JSON to this file (simulated step clock: 1 s per step)")
+	metrics := fs.Bool("metrics", false, "print the obs metrics summary after training")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "summit-train: "+format+"\n", a...)
+		return 2
 	}
 
+	if *verifyCkpt != "" {
+		return verifyCheckpoint(*verifyCkpt, stdout, stderr)
+	}
+
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"ranks", *ranks}, {"epochs", *epochs}, {"steps", *steps}} {
+		if f.v < 1 {
+			return fail("-%s must be positive, got %d", f.name, f.v)
+		}
+	}
+	train, ok := models[*model]
+	if !ok {
+		return fail("unknown model %q", *model)
+	}
+	newOpt, err := buildOptimizer(*optName, *lr)
+	if err != nil {
+		return fail("%v", err)
+	}
 	p, err := platform.Lookup(*plat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "summit-train: %v\n", err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
 	if *hier < 0 {
 		if p.Node.GPUs <= 0 {
-			fmt.Fprintf(os.Stderr, "summit-train: -hier -1 needs a platform with GPUs per node, %s has none\n", p.Name)
-			os.Exit(2)
+			return fail("-hier -1 needs a platform with GPUs per node, %s has none", p.Name)
 		}
 		*hier = p.Node.GPUs
 	}
 	if *hier > 0 && *ranks%*hier != 0 {
-		fmt.Fprintf(os.Stderr, "summit-train: %d ranks not divisible by island size %d (%s has %d GPUs/node); pick -ranks as a multiple\n",
+		return fail("%d ranks not divisible by island size %d (%s has %d GPUs/node); pick -ranks as a multiple",
 			*ranks, *hier, p.Name, p.Node.GPUs)
-		os.Exit(2)
 	}
 
 	cfg := ddl.Config{AccumSteps: *accum}
@@ -112,7 +152,8 @@ func main() {
 			return c.AllReduceHierarchical(g, group)
 		}
 	}
-	ckptPath = *ckpt
+	t := &trainer{stdout: stdout, stderr: stderr, ranks: *ranks, epochs: *epochs, steps: *steps,
+		cfg: cfg, newOpt: newOpt, seed: *seed, ckptPath: *ckpt}
 	if *storeDir != "" {
 		st, err := checkpoint.NewStore([]checkpoint.TierDir{
 			{Name: "nvme", Dir: filepath.Join(*storeDir, "nvme")},
@@ -120,56 +161,53 @@ func main() {
 			{Name: "gpfs", Dir: filepath.Join(*storeDir, "gpfs")},
 		}, 4)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "summit-train: store: %v\n", err)
-			os.Exit(2)
+			return fail("store: %v", err)
 		}
 		defer st.Close()
-		ckptStore = st
+		t.store = st
 	}
 
-	switch *model {
-	case "cnn":
-		trainCNN(*ranks, *epochs, *optName, *lr, cfg, *seed)
-	case "mlp":
-		trainMLP(*ranks, *epochs, *optName, *lr, cfg, *seed)
-	case "bert":
-		trainBERT(*ranks, *steps, *optName, *lr, cfg, *seed)
-	case "wavenet":
-		trainWaveNet(*ranks, *epochs, *optName, *lr, cfg, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "summit-train: unknown model %q\n", *model)
-		os.Exit(2)
-	}
+	train(t)
 
 	if *traceOut != "" {
 		if err := ob.WriteChromeTrace(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "summit-train: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "summit-train: %v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote trace to %s\n", *traceOut)
+		fmt.Fprintf(stdout, "wrote trace to %s\n", *traceOut)
 	}
 	if *metrics {
-		fmt.Print(ob.Trace.Summary())
-		fmt.Print(ob.Metrics.Render())
+		fmt.Fprint(stdout, ob.Trace.Summary())
+		fmt.Fprint(stdout, ob.Metrics.Render())
 	}
+	return 0
 }
 
-// ckptPath, when non-empty, makes rank 0 load the model before training
-// (if the file exists) and save it afterwards. ckptStore is the tiered
-// alternative (-store): restores prefer the shallowest healthy copy and
-// saves commit a fresh version drained to every tier.
-var (
-	ckptPath  string
-	ckptStore *checkpoint.Store
-)
+// trainer carries one run's settings into its rank goroutines.
+type trainer struct {
+	stdout, stderr io.Writer
+	// ranks, epochs (cnn, mlp, wavenet) and steps (bert) size the run.
+	ranks, epochs, steps int
+	cfg                  ddl.Config
+	newOpt               func() optim.Optimizer
+	seed                 uint64
+	// ckptPath, when non-empty, makes every rank load the model before
+	// training (if the file exists) and rank 0 save it afterwards. store
+	// is the tiered alternative (-store): restores prefer the shallowest
+	// healthy copy and saves commit a fresh version drained to every tier.
+	ckptPath string
+	store    *checkpoint.Store
+
+	mu sync.Mutex // serializes per-rank progress lines
+}
 
 // verifyCheckpoint audits a checkpoint file's per-parameter CRC sections
-// and exits non-zero when any section fails its checksum.
-func verifyCheckpoint(path string) {
+// and returns 1 when any section fails its checksum.
+func verifyCheckpoint(path string, stdout, stderr io.Writer) int {
 	sections, err := checkpoint.Verify(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "summit-train: verify: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "summit-train: verify: %v\n", err)
+		return 1
 	}
 	bad := 0
 	for _, s := range sections {
@@ -178,97 +216,100 @@ func verifyCheckpoint(path string) {
 			status = "CORRUPT"
 			bad++
 		}
-		fmt.Printf("  %-24s %8d elems  %s\n", s.Name, s.Elems, status)
+		fmt.Fprintf(stdout, "  %-24s %8d elems  %s\n", s.Name, s.Elems, status)
 	}
-	fmt.Printf("%s: %d section(s), %d corrupt\n", path, len(sections), bad)
+	fmt.Fprintf(stdout, "%s: %d section(s), %d corrupt\n", path, len(sections), bad)
 	if bad > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// fatal reports a checkpoint I/O failure inside a rank and exits 1. A rank
+// cannot return an error without stranding its peers mid-collective, so
+// the process ends here.
+func (t *trainer) fatal(format string, a ...any) {
+	fmt.Fprintf(t.stderr, "summit-train: "+format+"\n", a...)
+	os.Exit(1)
 }
 
 // maybeLoad restores the model from the checkpoint when one exists. Every
 // rank loads, so replicas stay identical.
-func maybeLoad(c *mp.Comm, m nn.Module) {
-	if ckptStore != nil {
-		info, err := ckptStore.Restore(m)
+func (t *trainer) maybeLoad(c *mp.Comm, m nn.Module) {
+	if t.store != nil {
+		info, err := t.store.Restore(m)
 		if err != nil {
 			// A store with no committed versions is a fresh start, not a
 			// failure.
 			if strings.Contains(err.Error(), "no versions") {
 				return
 			}
-			fmt.Fprintf(os.Stderr, "summit-train: store restore: %v\n", err)
-			os.Exit(1)
+			t.fatal("store restore: %v", err)
 		}
 		if c.Rank() == 0 {
-			report("restored checkpoint v%d from %s tier", info.Version, info.TierName)
+			t.report("restored checkpoint v%d from %s tier", info.Version, info.TierName)
 		}
 		return
 	}
-	if ckptPath == "" {
+	if t.ckptPath == "" {
 		return
 	}
-	if _, err := os.Stat(ckptPath); err != nil {
+	if _, err := os.Stat(t.ckptPath); err != nil {
 		return
 	}
-	if err := checkpoint.Load(m, ckptPath); err != nil {
-		fmt.Fprintf(os.Stderr, "summit-train: checkpoint load: %v\n", err)
-		os.Exit(1)
+	if err := checkpoint.Load(m, t.ckptPath); err != nil {
+		t.fatal("checkpoint load: %v", err)
 	}
 	if c.Rank() == 0 {
-		report("restored checkpoint %s", ckptPath)
+		t.report("restored checkpoint %s", t.ckptPath)
 	}
 }
 
 // maybeSave persists the model from rank 0.
-func maybeSave(c *mp.Comm, m nn.Module) {
+func (t *trainer) maybeSave(c *mp.Comm, m nn.Module) {
 	if c.Rank() != 0 {
 		return
 	}
-	if ckptStore != nil {
-		v := ckptStore.Newest() + 1
+	if t.store != nil {
+		v := t.store.Newest() + 1
 		if v < 1 {
 			v = 1
 		}
-		if err := ckptStore.Save(m, v); err != nil {
-			fmt.Fprintf(os.Stderr, "summit-train: store save: %v\n", err)
-			os.Exit(1)
+		if err := t.store.Save(m, v); err != nil {
+			t.fatal("store save: %v", err)
 		}
-		if err := ckptStore.DrainAll(v); err != nil {
-			fmt.Fprintf(os.Stderr, "summit-train: store drain: %v\n", err)
-			os.Exit(1)
+		if err := t.store.DrainAll(v); err != nil {
+			t.fatal("store drain: %v", err)
 		}
-		report("committed checkpoint v%d and drained it to every tier", v)
+		t.report("committed checkpoint v%d and drained it to every tier", v)
 		return
 	}
-	if ckptPath == "" {
+	if t.ckptPath == "" {
 		return
 	}
-	if err := checkpoint.Save(m, ckptPath); err != nil {
-		fmt.Fprintf(os.Stderr, "summit-train: checkpoint save: %v\n", err)
-		os.Exit(1)
+	if err := checkpoint.Save(m, t.ckptPath); err != nil {
+		t.fatal("checkpoint save: %v", err)
 	}
-	report("saved checkpoint %s", ckptPath)
+	t.report("saved checkpoint %s", t.ckptPath)
 }
 
-// report serializes per-rank progress lines.
-var reportMu sync.Mutex
-
-func report(format string, args ...any) {
-	reportMu.Lock()
-	defer reportMu.Unlock()
-	fmt.Printf(format+"\n", args...)
+// report writes one progress line.
+func (t *trainer) report(format string, args ...any) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	fmt.Fprintf(t.stdout, format+"\n", args...)
 }
 
-func trainCNN(ranks, epochs int, optName string, lr float64, cfg ddl.Config, seed uint64) {
+func (t *trainer) trainCNN() {
+	ranks, epochs, seed := t.ranks, t.epochs, t.seed
 	src := data.NewClimateImages(seed, 64, 1, 8)
 	w := mp.NewWorld(ranks)
 	w.Run(func(c *mp.Comm) {
 		m := nn.NewSmallCNN(stats.NewRNG(seed+100), nn.SmallCNNConfig{
 			InChannels: 1, ImageSize: 8, Channels: []int{8}, Classes: 2,
 		})
-		maybeLoad(c, m)
-		r := ddl.NewRank(c, m, buildOptimizer(optName, lr), cfg)
+		t.maybeLoad(c, m)
+		r := ddl.NewRank(c, m, t.newOpt(), t.cfg)
 		for epoch := 0; epoch < epochs; epoch++ {
 			idx := data.ShardedEpoch(seed, epoch, src.Len(), c.Size(), c.Rank())
 			var loss float64
@@ -279,7 +320,7 @@ func trainCNN(ranks, epochs int, optName string, lr float64, cfg ddl.Config, see
 				})
 			}
 			if c.Rank() == 0 {
-				report("epoch %2d  loss %.4f", epoch, loss)
+				t.report("epoch %2d  loss %.4f", epoch, loss)
 			}
 		}
 		if c.Rank() == 0 {
@@ -302,24 +343,25 @@ func trainCNN(ranks, epochs int, optName string, lr float64, cfg ddl.Config, see
 					}
 				}
 			}
-			report("accuracy %.1f%%  (bytes allreduced: %d)",
+			t.report("accuracy %.1f%%  (bytes allreduced: %d)",
 				100*float64(correct)/float64(src.Len()), w.BytesSent())
 		}
 		if !ddl.ReplicasConsistent(c, m, 1e-9) {
-			report("WARNING: replicas diverged")
+			t.report("WARNING: replicas diverged")
 		}
-		maybeSave(c, m)
+		t.maybeSave(c, m)
 	})
 }
 
-func trainMLP(ranks, epochs int, optName string, lr float64, cfg ddl.Config, seed uint64) {
+func (t *trainer) trainMLP() {
+	ranks, epochs, seed := t.ranks, t.epochs, t.seed
 	// Waveform parameter regression (Khan et al. in miniature).
 	src := data.NewWaveforms(seed, 128, 64, 0.02)
 	w := mp.NewWorld(ranks)
 	w.Run(func(c *mp.Comm) {
 		m := nn.NewResidualMLP(stats.NewRNG(seed+200), 64, 32, 2, 2)
-		maybeLoad(c, m)
-		r := ddl.NewRank(c, m, buildOptimizer(optName, lr), cfg)
+		t.maybeLoad(c, m)
+		r := ddl.NewRank(c, m, t.newOpt(), t.cfg)
 		for epoch := 0; epoch < epochs; epoch++ {
 			idx := data.ShardedEpoch(seed, epoch, src.Len(), c.Size(), c.Rank())
 			var loss float64
@@ -337,23 +379,24 @@ func trainMLP(ranks, epochs int, optName string, lr float64, cfg ddl.Config, see
 				})
 			}
 			if c.Rank() == 0 {
-				report("epoch %2d  mse %.5f", epoch, loss)
+				t.report("epoch %2d  mse %.5f", epoch, loss)
 			}
 		}
-		maybeSave(c, m)
+		t.maybeSave(c, m)
 	})
 }
 
 // trainWaveNet regresses chirp parameters with a dilated causal
 // convolution stack (Khan et al.'s architecture family).
-func trainWaveNet(ranks, epochs int, optName string, lr float64, cfg ddl.Config, seed uint64) {
+func (t *trainer) trainWaveNet() {
+	ranks, epochs, seed := t.ranks, t.epochs, t.seed
 	const seqLen = 32
 	src := data.NewWaveforms(seed, 64, seqLen, 0.02)
 	w := mp.NewWorld(ranks)
 	w.Run(func(c *mp.Comm) {
 		m := nn.NewWaveNetStack(stats.NewRNG(seed+400), 6, 3, 2)
-		maybeLoad(c, m)
-		r := ddl.NewRank(c, m, buildOptimizer(optName, lr), cfg)
+		t.maybeLoad(c, m)
+		r := ddl.NewRank(c, m, t.newOpt(), t.cfg)
 		for epoch := 0; epoch < epochs; epoch++ {
 			idx := data.ShardedEpoch(seed, epoch, src.Len(), c.Size(), c.Rank())
 			var loss float64
@@ -371,22 +414,23 @@ func trainWaveNet(ranks, epochs int, optName string, lr float64, cfg ddl.Config,
 				})
 			}
 			if c.Rank() == 0 && epoch%5 == 0 {
-				report("epoch %2d  mse %.5f  (receptive field %d)", epoch, loss, m.ReceptiveField())
+				t.report("epoch %2d  mse %.5f  (receptive field %d)", epoch, loss, m.ReceptiveField())
 			}
 		}
-		maybeSave(c, m)
+		t.maybeSave(c, m)
 	})
 }
 
-func trainBERT(ranks, steps int, optName string, lr float64, cfg ddl.Config, seed uint64) {
+func (t *trainer) trainBERT() {
+	ranks, steps, seed := t.ranks, t.steps, t.seed
 	src := data.NewSMILESSequences(seed, 256, 16)
 	w := mp.NewWorld(ranks)
 	w.Run(func(c *mp.Comm) {
 		m := nn.NewMiniBERT(stats.NewRNG(seed+300), nn.MiniBERTConfig{
 			Vocab: src.Vocab(), SeqLen: 16, Dim: 32, Heads: 4, FFDim: 64, Layers: 2,
 		})
-		maybeLoad(c, m)
-		r := ddl.NewRank(c, m, buildOptimizer(optName, lr), cfg)
+		t.maybeLoad(c, m)
+		r := ddl.NewRank(c, m, t.newOpt(), t.cfg)
 		rng := stats.NewRNG(seed + uint64(c.Rank()))
 		for s := 0; s < steps; s++ {
 			loss := r.Step(func(int) *autograd.Value {
@@ -395,9 +439,9 @@ func trainBERT(ranks, steps int, optName string, lr float64, cfg ddl.Config, see
 				return autograd.SoftmaxCrossEntropy(m.Forward(input), target)
 			})
 			if c.Rank() == 0 && s%5 == 0 {
-				report("step %3d  masked-LM loss %.4f", s, loss)
+				t.report("step %3d  masked-LM loss %.4f", s, loss)
 			}
 		}
-		maybeSave(c, m)
+		t.maybeSave(c, m)
 	})
 }

@@ -57,9 +57,6 @@ func ConstantIn(a *tensor.Arena, t *tensor.Tensor) *Value {
 	return NewLeaf(c, false)
 }
 
-// RequiresGrad reports whether gradients flow to this value.
-func (v *Value) RequiresGrad() bool { return v.requiresGrad }
-
 // ZeroGrad clears the accumulated gradient.
 func (v *Value) ZeroGrad() { v.Grad = nil }
 
@@ -331,15 +328,10 @@ type ConvScratch struct {
 	fwd, bwd tensor.ConvScratch
 }
 
-// Conv2D convolves NCHW input a with FCHW kernel and optional bias.
-func Conv2D(a, kernel, bias *Value, opts tensor.Conv2DOpts) *Value {
-	return Conv2DScratch(a, kernel, bias, opts, nil)
-}
-
-// Conv2DScratch is Conv2D with layer-owned buffer reuse: the im2col
-// matrices for forward and backward are allocated once per geometry and
-// reused across calls instead of churning per step. A nil scratch behaves
-// exactly like Conv2D.
+// Conv2DScratch convolves NCHW input a with FCHW kernel and optional
+// bias, with layer-owned buffer reuse: the im2col matrices for forward and
+// backward are allocated once per geometry and reused across calls instead
+// of churning per step. A nil scratch allocates them per call.
 func Conv2DScratch(a, kernel, bias *Value, opts tensor.Conv2DOpts, scratch *ConvScratch) *Value {
 	var bt *tensor.Tensor
 	if bias != nil {
@@ -503,27 +495,6 @@ func Softmax(a *Value) *Value {
 			}
 		}
 		a.accum(g)
-	}
-	return n
-}
-
-// Concat2DRows stacks rank-2 values vertically with gradient routing.
-func Concat2DRows(vals ...*Value) *Value {
-	ts := make([]*tensor.Tensor, len(vals))
-	parents := make([]*Value, len(vals))
-	for i, v := range vals {
-		ts[i] = v.Data
-		parents[i] = v
-	}
-	out := tensor.Concat2DRows(ts...)
-	n := newNode(out, parents...)
-	n.backward = func() {
-		off := 0
-		for _, v := range vals {
-			rows := v.Data.Dim(0)
-			v.accum(n.Grad.Slice2DRows(off, off+rows))
-			off += rows
-		}
 	}
 	return n
 }

@@ -3,7 +3,6 @@ package autograd
 import (
 	"math"
 
-	"summitscale/internal/stats"
 	"summitscale/internal/tensor"
 )
 
@@ -138,29 +137,6 @@ func BatchNorm2D(a, gain, shift *Value, eps float64) *Value {
 		gain.accum(gg)
 		shift.accum(gs)
 	}
-	return n
-}
-
-// Dropout zeroes each element with probability p during training and scales
-// the survivors by 1/(1-p) (inverted dropout). With train=false it is the
-// identity.
-func Dropout(a *Value, p float64, train bool, rng *stats.RNG) *Value {
-	if !train || p <= 0 {
-		return a
-	}
-	if p >= 1 {
-		panic("autograd: dropout probability must be < 1")
-	}
-	mask := tensor.New(a.Data.Shape()...)
-	md := mask.Data()
-	keep := 1 / (1 - p)
-	for i := range md {
-		if !rng.Bool(p) {
-			md[i] = keep
-		}
-	}
-	n := newNode(a.Data.Mul(mask), a)
-	n.backward = func() { a.accum(n.Grad.Mul(mask)) }
 	return n
 }
 

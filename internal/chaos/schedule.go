@@ -168,18 +168,6 @@ func (sc *Scenario) Compile(seed uint64) (*Schedule, error) {
 	return sched, nil
 }
 
-// BrownoutFactorAt returns the worst storage-bandwidth multiplier active
-// at time t, or 1 outside every brownout window.
-func (s *Schedule) BrownoutFactorAt(t units.Seconds) float64 {
-	worst := 1.0
-	for _, b := range s.Brownouts {
-		if t >= b.From && t < b.To && b.Factor < worst {
-			worst = b.Factor
-		}
-	}
-	return worst
-}
-
 // WorstBrownout returns the deepest brownout factor in the schedule (1
 // when there is none).
 func (s *Schedule) WorstBrownout() float64 {

@@ -1,7 +1,7 @@
 // The tiered store: a versioned checkpoint history across storage tiers
-// (tier 0 is where training writes; deeper tiers are drained to in the
-// background), each tier indexed by a crash-safe text manifest. Restore
-// walks versions newest-first and tiers shallowest-first, verifying
+// (tier 0 is where training writes; deeper tiers are filled by
+// synchronous Drain calls), each tier indexed by a crash-safe text
+// manifest. Restore walks versions newest-first and tiers shallowest-first, verifying
 // manifest size/CRC and every per-parameter section before trusting a
 // file — a corrupt or torn copy in one tier falls through to the next
 // instead of killing the job.
@@ -49,9 +49,6 @@ type Store struct {
 	manifests []map[int]manifestEntry // per tier: version -> entry
 
 	drainMu sync.Mutex // serializes tier-to-tier copies
-	wg      sync.WaitGroup
-	errMu   sync.Mutex
-	errs    []error
 }
 
 // NewStore opens (or creates) a store over the tier directories, reading
@@ -170,44 +167,6 @@ func (s *Store) DrainAll(version int) error {
 	return nil
 }
 
-// DrainAsync drains in the background; errors surface from Wait.
-func (s *Store) DrainAsync(version, dst int) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		if err := s.Drain(version, dst); err != nil {
-			s.errMu.Lock()
-			s.errs = append(s.errs, err)
-			s.errMu.Unlock()
-		}
-	}()
-}
-
-// DrainAllAsync drains version through every deeper tier in the
-// background, in order.
-func (s *Store) DrainAllAsync(version int) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		if err := s.DrainAll(version); err != nil {
-			s.errMu.Lock()
-			s.errs = append(s.errs, err)
-			s.errMu.Unlock()
-		}
-	}()
-}
-
-// Wait blocks until every outstanding async drain finishes and returns
-// their accumulated errors (nil when all succeeded).
-func (s *Store) Wait() error {
-	s.wg.Wait()
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	err := errors.Join(s.errs...)
-	s.errs = nil
-	return err
-}
-
 // RestoreInfo says which copy a restore actually used.
 type RestoreInfo struct {
 	Version  int
@@ -319,8 +278,9 @@ func (s *Store) TruncateVersion(tier, version int, frac float64) error {
 	return os.Truncate(path, int64(float64(fi.Size())*frac))
 }
 
-// Close waits out async drains.
-func (s *Store) Close() error { return s.Wait() }
+// Close releases the store. Every drain is synchronous and no file stays
+// open between calls, so there is nothing left to wait for or release.
+func (s *Store) Close() error { return nil }
 
 // pruneLocked removes versions beyond the retention bound from a tier.
 // Callers write the manifest afterwards, so commit and prune cost one

@@ -172,14 +172,6 @@ func RenderResult(e Experiment, r Result) string {
 // deterministic sub-result once.
 var defaultEngine = NewEngine()
 
-// RunAll executes every experiment sequentially and renders the full
-// report. It is RunAllParallel with one worker — which the DAG
-// scheduler runs inline on the caller's goroutine, with no pool
-// overhead.
-func RunAll() (string, bool) {
-	return RunAllParallel(1)
-}
-
 // RunAllParallel executes the registry through the dependency-DAG
 // scheduler across at most workers goroutines (workers <= 1 runs the
 // topological order inline) and renders the report in registry order.

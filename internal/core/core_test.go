@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"summitscale/internal/platform"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -96,7 +98,7 @@ func TestRenderResult(t *testing.T) {
 }
 
 func TestRunAll(t *testing.T) {
-	report, pass := RunAll()
+	report, pass := RunAllParallel(1)
 	if !pass {
 		t.Error("RunAll reports failures")
 	}
@@ -115,7 +117,7 @@ func TestRunAll(t *testing.T) {
 // byte for byte, at several worker counts, so `-j` can default to NumCPU
 // without perturbing any golden or downstream diff.
 func TestRunAllParallelByteIdentical(t *testing.T) {
-	seq, seqPass := RunAll()
+	seq, seqPass := RunAllParallel(1)
 	for _, workers := range []int{2, 4, 8} {
 		par, parPass := RunAllParallel(workers)
 		if parPass != seqPass {
@@ -142,7 +144,7 @@ func TestExperimentsRegistryCached(t *testing.T) {
 }
 
 func TestScalingStudiesConsistent(t *testing.T) {
-	for _, s := range ScalingStudies() {
+	for _, s := range ScalingStudiesOn(platform.Summit()) {
 		if s.Job.Nodes != s.AtNodes {
 			t.Errorf("%s: job nodes %d != AtNodes %d", s.ID, s.Job.Nodes, s.AtNodes)
 		}
@@ -173,7 +175,7 @@ func TestRenderMarkdown(t *testing.T) {
 }
 
 func TestRenderScalingSVG(t *testing.T) {
-	for _, s := range ScalingStudies() {
+	for _, s := range ScalingStudiesOn(platform.Summit()) {
 		svg := RenderScalingSVG(s)
 		if !strings.HasPrefix(svg, "<svg") || !strings.Contains(svg, "</svg>") {
 			t.Fatalf("%s SVG malformed", s.ID)

@@ -29,12 +29,6 @@ type ScalingStudy struct {
 	Curve []int
 }
 
-// ScalingStudies returns the five §IV-B cases with calibrated models on
-// the paper's baseline machine.
-func ScalingStudies() []ScalingStudy {
-	return ScalingStudiesOn(platform.Summit())
-}
-
 // ScalingStudiesOn returns the §IV-B cases replayed on the given
 // platform. On the baseline the studies are byte-identical to the seed
 // (locked by the golden tests). Elsewhere the node schedule is clamped to

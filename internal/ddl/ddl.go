@@ -198,17 +198,6 @@ func NewRank(c *mp.Comm, model nn.Module, opt optim.Optimizer, cfg Config) *Rank
 	return &Rank{Comm: c, Model: model, Opt: opt, Config: cfg}
 }
 
-// HierarchicalAllreduce returns a Config.Allreduce that routes the gradient
-// exchange through mp's two-level island collective (intra-island reduce to
-// a leader, ring among leaders, broadcast back), matching Summit's
-// NVLink-island topology. Compose with Overlap to pipeline the whole
-// hierarchy with backward compute.
-func HierarchicalAllreduce(groupSize int) func(*mp.Comm, []float64) []float64 {
-	return func(c *mp.Comm, g []float64) []float64 {
-		return c.AllReduceHierarchical(g, groupSize)
-	}
-}
-
 // Flush retires an in-flight overlap collective without applying its
 // result — the same fate synchronous GradLag gives the final step's
 // reduced gradient. It must be called after the last Step and before the

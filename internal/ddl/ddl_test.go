@@ -145,7 +145,7 @@ func TestReplicasStayConsistent(t *testing.T) {
 		{Compression: FP16},
 		{AccumSteps: 2},
 		{GradLag: true},
-		{Allreduce: func(c *mp.Comm, g []float64) []float64 { return c.AllReduceTree(g) }},
+		{Allreduce: func(c *mp.Comm, g []float64) []float64 { return c.AllReduceHierarchical(g, 2) }},
 	} {
 		p := 4
 		w := mp.NewWorld(p)
@@ -274,67 +274,6 @@ func TestFP16CompressionBoundsError(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestPipelineMatchesSingleProcess splits an MLP across two pipeline
-// stages and checks the result equals training the composed model in one
-// process.
-func TestPipelineMatchesSingleProcess(t *testing.T) {
-	const steps, micro, lr = 3, 2, 0.2
-	mkFront := func() *nn.Dense {
-		return nn.NewDense(stats.NewRNG(1), 4, 6, autograd.Tanh, "front")
-	}
-	mkBack := func() *nn.Dense {
-		return nn.NewDense(stats.NewRNG(2), 6, 3, nil, "back")
-	}
-	x, labels := globalBatch()
-	microX := func(_, m int) *tensor.Tensor { return x.Slice2DRows(m*4, m*4+4) }
-	microY := func(m int) []int { return labels[m*4 : m*4+4] }
-
-	// Single-process reference with the same micro-batch accumulation.
-	front, back := mkFront(), mkBack()
-	optF, optB := optim.NewSGD(lr), optim.NewSGD(lr)
-	for s := 0; s < steps; s++ {
-		nn.ZeroGrads(front)
-		nn.ZeroGrads(back)
-		for m := 0; m < micro; m++ {
-			loss := autograd.SoftmaxCrossEntropy(
-				back.Forward(front.Forward(autograd.Constant(microX(s, m)))), microY(m))
-			loss.Backward(nil)
-		}
-		optF.Step(front.Params())
-		optB.Step(back.Params())
-	}
-	wantF := FlattenParams(front.Params())
-	wantB := FlattenParams(back.Params())
-
-	// Two-rank pipeline.
-	var gotF, gotB []float64
-	w := mp.NewWorld(2)
-	w.Run(func(c *mp.Comm) {
-		if c.Rank() == 0 {
-			f := mkFront()
-			PipelineFront(c, 1, f, optim.NewSGD(lr), steps, micro, microX)
-			gotF = FlattenParams(f.Params())
-		} else {
-			b := mkBack()
-			PipelineBack(c, 0, b, optim.NewSGD(lr), steps, micro, []int{4, 6},
-				func(_, m int, act *autograd.Value) *autograd.Value {
-					return autograd.SoftmaxCrossEntropy(b.Forward(act), microY(m))
-				})
-			gotB = FlattenParams(b.Params())
-		}
-	})
-	for i := range wantF {
-		if math.Abs(gotF[i]-wantF[i]) > 1e-9 {
-			t.Fatalf("front param %d: %v vs %v", i, gotF[i], wantF[i])
-		}
-	}
-	for i := range wantB {
-		if math.Abs(gotB[i]-wantB[i]) > 1e-9 {
-			t.Fatalf("back param %d: %v vs %v", i, gotB[i], wantB[i])
-		}
-	}
 }
 
 // TestShardedEpochTraining exercises the full input pipeline: sharded,

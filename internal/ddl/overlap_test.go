@@ -49,7 +49,9 @@ func TestOverlapBitIdenticalToSyncGradLag(t *testing.T) {
 		base Config
 	}{
 		{"ring", Config{GradLag: true}},
-		{"hierarchical", Config{GradLag: true, Allreduce: HierarchicalAllreduce(2)}},
+		{"hierarchical", Config{GradLag: true, Allreduce: func(c *mp.Comm, g []float64) []float64 {
+			return c.AllReduceHierarchical(g, 2)
+		}}},
 		{"fp16-accum", Config{GradLag: true, Compression: FP16, AccumSteps: 2}},
 	}
 	for _, tc := range cases {
@@ -127,7 +129,9 @@ func TestFlushIdempotent(t *testing.T) {
 // within floating-point reassociation tolerance (summation order differs).
 func TestHierarchicalAllreduceConfigMatchesRing(t *testing.T) {
 	ring := trainParams(t, 4, 4, Config{})
-	hier := trainParams(t, 4, 4, Config{Allreduce: HierarchicalAllreduce(2)})
+	hier := trainParams(t, 4, 4, Config{Allreduce: func(c *mp.Comm, g []float64) []float64 {
+		return c.AllReduceHierarchical(g, 2)
+	}})
 	for rk := range ring {
 		for i := range ring[rk] {
 			d := ring[rk][i] - hier[rk][i]

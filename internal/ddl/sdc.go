@@ -92,9 +92,6 @@ type Guards struct {
 	ABFTTol float64
 }
 
-// Any reports whether any guard is armed.
-func (g Guards) Any() bool { return g.NaN || g.GradNormLimit > 0 || g.ABFT }
-
 // GuardedConfig configures a guarded run.
 type GuardedConfig struct {
 	Ranks           int
@@ -238,6 +235,9 @@ func RunGuarded(cfg GuardedConfig,
 	if len(cfg.Tiers) < 1 {
 		return nil, fmt.Errorf("ddl: guarded run needs at least one checkpoint tier")
 	}
+	// A stale drain never copies the version a torn drain would truncate,
+	// so the two storage drain kinds may not share a checkpoint window.
+	drainInjs := map[int]SDCInjection{} // window index -> first drain injection
 	for _, inj := range cfg.Injections {
 		if inj.Step < 0 || inj.Step >= cfg.Steps {
 			return nil, fmt.Errorf("ddl: injection step %d outside run of %d steps", inj.Step, cfg.Steps)
@@ -247,6 +247,16 @@ func RunGuarded(cfg GuardedConfig,
 		}
 		if inj.Kind == TornDrain && len(cfg.Tiers) < 2 {
 			return nil, fmt.Errorf("ddl: torn-drain injection needs a second tier")
+		}
+		if inj.Kind == TornDrain || inj.Kind == StaleDrain {
+			w := inj.Step / cfg.CheckpointEvery
+			prev, ok := drainInjs[w]
+			if !ok {
+				drainInjs[w] = inj
+			} else if prev.Kind != inj.Kind {
+				return nil, fmt.Errorf("ddl: %v injection at step %d and %v injection at step %d share checkpoint window [%d, %d)",
+					prev.Kind, prev.Step, inj.Kind, inj.Step, w*cfg.CheckpointEvery, (w+1)*cfg.CheckpointEvery)
+			}
 		}
 	}
 	retain := cfg.Retain

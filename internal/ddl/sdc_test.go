@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"summitscale/internal/autograd"
@@ -228,5 +229,13 @@ func TestGuardedValidatesConfig(t *testing.T) {
 		if _, err := RunGuarded(cfg, mk, op, guardedLoss()); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
+	}
+	// A stale and a torn drain in one checkpoint window [2, 4) are
+	// rejected before the run starts, naming both injections.
+	cfg := GuardedConfig{Ranks: 1, Steps: 4, CheckpointEvery: 2, Tiers: tiers,
+		Injections: []SDCInjection{{Step: 2, Kind: StaleDrain}, {Step: 3, Kind: TornDrain}}}
+	_, err := RunGuarded(cfg, mk, op, guardedLoss())
+	if err == nil || !strings.Contains(err.Error(), "step 2") || !strings.Contains(err.Error(), "step 3") {
+		t.Fatalf("same-window stale and torn drains: err = %v, want both steps named", err)
 	}
 }

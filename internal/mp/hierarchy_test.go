@@ -8,42 +8,6 @@ import (
 	"summitscale/internal/stats"
 )
 
-func TestAllToAll(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7} {
-		w := NewWorld(p)
-		chunk := 3
-		w.Run(func(c *Comm) {
-			// Rank r sends value 100*r + d to destination d (chunked).
-			data := make([]float64, p*chunk)
-			for d := 0; d < p; d++ {
-				for k := 0; k < chunk; k++ {
-					data[d*chunk+k] = float64(100*c.Rank() + d)
-				}
-			}
-			out := c.AllToAll(data)
-			for src := 0; src < p; src++ {
-				for k := 0; k < chunk; k++ {
-					want := float64(100*src + c.Rank())
-					if out[src*chunk+k] != want {
-						t.Errorf("p=%d rank %d: out[%d] = %v, want %v",
-							p, c.Rank(), src*chunk+k, out[src*chunk+k], want)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestAllToAllBadLengthPanics(t *testing.T) {
-	w := NewWorld(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	w.Run(func(c *Comm) { c.AllToAll(make([]float64, 4)) })
-}
-
 func TestHierarchicalMatchesRing(t *testing.T) {
 	for _, tc := range []struct{ p, group int }{
 		{4, 2}, {6, 3}, {8, 4}, {12, 6}, {6, 1}, {6, 6},

@@ -1,8 +1,7 @@
 // Package mp is an MPI-like message-passing substrate whose ranks are
 // goroutines and whose links are Go channels. It provides the point-to-point
-// primitives and the collectives (barrier, broadcast, reduce, ring and
-// recursive-doubling allreduce, reduce-scatter, allgather) that distributed
-// data-parallel training needs.
+// primitives and the collectives (broadcast, gather, ring and hierarchical
+// allreduce) that distributed data-parallel training needs.
 //
 // Every transfer is counted, so higher layers (internal/ddl, the ablation
 // benchmarks) can compare the byte volumes of collective algorithms against
@@ -35,7 +34,6 @@ type World struct {
 
 	bytesSent atomic.Int64
 	msgsSent  atomic.Int64
-	maxMsg    atomic.Int64
 }
 
 // NewWorld creates a fully connected world of the given size. No channels
@@ -78,18 +76,6 @@ func (w *World) BytesSent() int64 { return w.bytesSent.Load() }
 
 // MessagesSent returns the total number of point-to-point messages.
 func (w *World) MessagesSent() int64 { return w.msgsSent.Load() }
-
-// MaxMessageBytes returns the largest single message sent so far. Tree
-// collectives move whole vectors per hop; the ring moves 1/P chunks, which
-// is what makes it bandwidth-optimal at Summit's gradient sizes.
-func (w *World) MaxMessageBytes() int64 { return w.maxMsg.Load() }
-
-// ResetCounters zeroes the traffic counters.
-func (w *World) ResetCounters() {
-	w.bytesSent.Store(0)
-	w.msgsSent.Store(0)
-	w.maxMsg.Store(0)
-}
 
 // Run executes f concurrently on every rank and waits for all to finish.
 // A panic on any rank is re-raised on the caller after all ranks stop.
@@ -140,15 +126,8 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	}
 	payload := append([]float64(nil), data...)
 	c.world.link(c.rank, dst) <- message{tag: tag, data: payload}
-	nbytes := int64(8 * len(data))
-	c.world.bytesSent.Add(nbytes)
+	c.world.bytesSent.Add(int64(8 * len(data)))
 	c.world.msgsSent.Add(1)
-	for {
-		cur := c.world.maxMsg.Load()
-		if nbytes <= cur || c.world.maxMsg.CompareAndSwap(cur, nbytes) {
-			break
-		}
-	}
 }
 
 // Recv blocks until a message with the given tag arrives from src and
@@ -179,45 +158,16 @@ func (c *Comm) Recv(src, tag int) []float64 {
 	}
 }
 
-// SendRecv exchanges data with a partner rank, sending sendData with
-// sendTag and returning the message received with recvTag. Sends happen
-// before receives, so symmetric exchanges do not deadlock on the buffered
-// links.
-func (c *Comm) SendRecv(partner, sendTag int, sendData []float64, recvTag int) []float64 {
-	c.Send(partner, sendTag, sendData)
-	return c.Recv(partner, recvTag)
-}
-
 // tags used by collectives; user tags should stay below collectiveTagBase.
 const (
 	collectiveTagBase = 1 << 20
 	collectiveTagStep = 1 << 16 // room for per-round offsets within a collective
 
-	tagBarrier   = collectiveTagBase + 0*collectiveTagStep
-	tagBcast     = collectiveTagBase + 1*collectiveTagStep
-	tagReduce    = collectiveTagBase + 2*collectiveTagStep
-	tagRingRS    = collectiveTagBase + 3*collectiveTagStep
-	tagRingAG    = collectiveTagBase + 4*collectiveTagStep
-	tagRecDouble = collectiveTagBase + 5*collectiveTagStep
-	tagGather    = collectiveTagBase + 6*collectiveTagStep
-	tagScatter   = collectiveTagBase + 7*collectiveTagStep
-	tagAllGather = collectiveTagBase + 8*collectiveTagStep
+	tagBcast  = collectiveTagBase + 1*collectiveTagStep
+	tagRingRS = collectiveTagBase + 3*collectiveTagStep
+	tagRingAG = collectiveTagBase + 4*collectiveTagStep
+	tagGather = collectiveTagBase + 6*collectiveTagStep
 )
-
-// Barrier blocks until every rank has entered it, using the dissemination
-// algorithm (log2(P) rounds of pairwise signals).
-func (c *Comm) Barrier() {
-	p := c.world.size
-	if p == 1 {
-		return
-	}
-	for dist := 1; dist < p; dist *= 2 {
-		dst := (c.rank + dist) % p
-		src := (c.rank - dist + p) % p
-		c.Send(dst, tagBarrier+dist, nil)
-		c.Recv(src, tagBarrier+dist)
-	}
-}
 
 // Bcast distributes root's data to every rank using a binomial tree and
 // returns each rank's copy.
@@ -254,43 +204,6 @@ func nextPow2(n int) int {
 		p *= 2
 	}
 	return p
-}
-
-// Reduce sums data across ranks onto root using a binomial tree. Non-root
-// ranks return nil.
-func (c *Comm) Reduce(root int, data []float64) []float64 {
-	p := c.world.size
-	acc := append([]float64(nil), data...)
-	if p == 1 {
-		return acc
-	}
-	vrank := (c.rank - root + p) % p
-	// Receive from children (reverse of bcast order), then send to parent.
-	for bit := 1; bit < p; bit *= 2 {
-		if vrank&bit != 0 {
-			parent := (vrank&^bit + root) % p
-			c.Send(parent, tagReduce+bit, acc)
-			return nil
-		}
-		if vrank+bit < p {
-			child := (vrank + bit + root) % p
-			recv := c.Recv(child, tagReduce+bit)
-			for i := range acc {
-				acc[i] += recv[i]
-			}
-		}
-	}
-	return acc
-}
-
-// AllReduceTree sums data across all ranks via reduce-to-0 plus broadcast.
-// Latency-optimal for small messages; moves 2x the ring's bytes for large.
-func (c *Comm) AllReduceTree(data []float64) []float64 {
-	red := c.Reduce(0, data)
-	if c.rank != 0 {
-		red = nil
-	}
-	return c.Bcast(0, red)
 }
 
 // AllReduceRing sums data across all ranks with the bandwidth-optimal ring
@@ -336,62 +249,6 @@ func (c *Comm) AllReduceRing(data []float64) []float64 {
 	return acc
 }
 
-// AllReduceRecursiveDoubling sums data across all ranks by pairwise
-// exchange over log2(P) rounds. It requires a power-of-two world size and
-// is latency-favourable at small message sizes.
-func (c *Comm) AllReduceRecursiveDoubling(data []float64) []float64 {
-	p := c.world.size
-	if p&(p-1) != 0 {
-		panic("mp: recursive doubling needs power-of-two ranks")
-	}
-	acc := append([]float64(nil), data...)
-	for dist := 1; dist < p; dist *= 2 {
-		partner := c.rank ^ dist
-		in := c.SendRecv(partner, tagRecDouble+dist, acc, tagRecDouble+dist)
-		for i := range acc {
-			acc[i] += in[i]
-		}
-	}
-	return acc
-}
-
-// ReduceScatter sums data across ranks and leaves rank r with chunk r of
-// the result. len(data) must be divisible by the world size.
-func (c *Comm) ReduceScatter(data []float64) []float64 {
-	p := c.world.size
-	if len(data)%p != 0 {
-		panic("mp: ReduceScatter length not divisible by world size")
-	}
-	full := c.AllReduceRing(data)
-	chunk := len(data) / p
-	out := make([]float64, chunk)
-	copy(out, full[c.rank*chunk:(c.rank+1)*chunk])
-	return out
-}
-
-// AllGather concatenates each rank's equal-length chunk into the full
-// vector on every rank, using a ring.
-func (c *Comm) AllGather(chunk []float64) []float64 {
-	p := c.world.size
-	n := len(chunk)
-	out := make([]float64, n*p)
-	copy(out[c.rank*n:(c.rank+1)*n], chunk)
-	if p == 1 {
-		return out
-	}
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	cur := append([]float64(nil), chunk...)
-	curIdx := c.rank
-	for s := 0; s < p-1; s++ {
-		c.Send(next, tagAllGather+s, cur)
-		cur = c.Recv(prev, tagAllGather+s)
-		curIdx = (curIdx - 1 + p) % p
-		copy(out[curIdx*n:(curIdx+1)*n], cur)
-	}
-	return out
-}
-
 // Gather collects each rank's chunk on root (concatenated by rank). Other
 // ranks return nil.
 func (c *Comm) Gather(root int, chunk []float64) []float64 {
@@ -409,25 +266,4 @@ func (c *Comm) Gather(root int, chunk []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Scatter distributes root's data in equal chunks; rank r receives chunk r.
-func (c *Comm) Scatter(root int, data []float64) []float64 {
-	p := c.world.size
-	if c.rank == root {
-		if len(data)%p != 0 {
-			panic("mp: Scatter length not divisible by world size")
-		}
-		chunk := len(data) / p
-		for r := 0; r < p; r++ {
-			if r == root {
-				continue
-			}
-			c.Send(r, tagScatter, data[r*chunk:(r+1)*chunk])
-		}
-		out := make([]float64, chunk)
-		copy(out, data[root*chunk:(root+1)*chunk])
-		return out
-	}
-	return c.Recv(root, tagScatter)
 }

@@ -21,12 +21,6 @@ func (f Fabric) Degraded(factor float64) Fabric {
 	return Fabric{Alpha: f.Alpha, Beta: units.BytesPerSecond(float64(f.Beta) * factor)}
 }
 
-// RingAllReduceDegraded returns the ring allreduce time when the slowest
-// member's injection bandwidth is multiplied by factor.
-func (f Fabric) RingAllReduceDegraded(p int, n units.Bytes, factor float64) units.Seconds {
-	return f.Degraded(factor).RingAllReduce(p, n)
-}
-
 // RingRebuildTime returns the control-plane cost of re-forming the ring
 // after membership changes: a failure-detection timeout plus an
 // O(log2 p) agreement round at the point-to-point latency. The detection

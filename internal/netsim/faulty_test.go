@@ -10,7 +10,7 @@ func TestDegradedScalesBandwidth(t *testing.T) {
 	f := SummitFabric()
 	n := units.Bytes(100 * units.MB)
 	full := f.RingAllReduce(512, n)
-	half := f.RingAllReduceDegraded(512, n, 0.5)
+	half := f.Degraded(0.5).RingAllReduce(512, n)
 	if half <= full {
 		t.Fatal("degraded ring not slower")
 	}

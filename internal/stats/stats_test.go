@@ -229,60 +229,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestFitLineExact(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 1 + 2x
-	f := FitLine(x, y)
-	if math.Abs(f.Intercept-1) > 1e-12 || math.Abs(f.Slope-2) > 1e-12 {
-		t.Fatalf("fit = %+v", f)
-	}
-	if math.Abs(f.R2-1) > 1e-12 {
-		t.Fatalf("R2 = %v", f.R2)
-	}
-}
-
-func TestFitLineNoisy(t *testing.T) {
-	r := NewRNG(31)
-	var x, y []float64
-	for i := 0; i < 500; i++ {
-		xi := float64(i) / 10
-		x = append(x, xi)
-		y = append(y, 4+0.5*xi+r.NormFloat64()*0.1)
-	}
-	f := FitLine(x, y)
-	if math.Abs(f.Slope-0.5) > 0.01 || math.Abs(f.Intercept-4) > 0.05 {
-		t.Fatalf("noisy fit = %+v", f)
-	}
-	if f.R2 < 0.99 {
-		t.Fatalf("R2 = %v", f.R2)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Total() != 4 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if h.Mode() != 0 {
-		t.Fatalf("mode = %d", h.Mode())
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4, 16}); math.Abs(g-4) > 1e-12 {
-		t.Fatalf("GeoMean = %v", g)
-	}
-}
-
 func TestQuickPercentileWithinBounds(t *testing.T) {
 	r := NewRNG(77)
 	if err := quick.Check(func(seed uint32) bool {

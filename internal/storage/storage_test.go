@@ -72,7 +72,7 @@ func TestNVMeScalesLinearly(t *testing.T) {
 }
 
 func TestPlanForReplicationWhenFits(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	plan, err := s.PlanFor(1*units.TB, 128)
 	if err != nil || plan != ReplicateDataset {
 		t.Fatalf("1 TB should replicate onto 1.6 TB drives: %v %v", plan, err)
@@ -87,7 +87,7 @@ func TestPlanForReplicationWhenFits(t *testing.T) {
 }
 
 func TestShuffleFreeWhenReplicated(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	if got := s.EpochShuffleTime(1*units.TB, 512, ReplicateDataset); got != 0 {
 		t.Fatalf("replicated shuffle cost %v", got)
 	}
@@ -98,7 +98,7 @@ func TestShuffleFreeWhenReplicated(t *testing.T) {
 }
 
 func TestStagingCostsGrowWithDataset(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	// Within a plan, a larger dataset always costs more to stage.
 	repSmall := s.StagingTime(100*units.GB, 1024, ReplicateDataset)
 	repBig := s.StagingTime(1*units.TB, 1024, ReplicateDataset)
@@ -122,7 +122,7 @@ func TestStagingCostsGrowWithDataset(t *testing.T) {
 // GPFS bandwidth, 200 TB takes more than a minute even at full aggregate
 // rate.
 func TestHundredsOfTBStagingIsExpensive(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	tm := s.StagingTime(200*units.TB, 4608, PartitionDataset)
 	if float64(tm) < 60 {
 		t.Fatalf("200 TB staged in %v — unrealistically fast", tm)
@@ -130,7 +130,7 @@ func TestHundredsOfTBStagingIsExpensive(t *testing.T) {
 }
 
 func TestShuffleTimeDecreasesWithNodes(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	t64 := s.EpochShuffleTime(10*units.TB, 64, PartitionDataset)
 	t512 := s.EpochShuffleTime(10*units.TB, 512, PartitionDataset)
 	if t512 >= t64 {
@@ -142,7 +142,7 @@ func TestShuffleTimeDecreasesWithNodes(t *testing.T) {
 // shared file system stretches GPFS-bound staging by ~1/factor and never
 // speeds anything up; factor 1 is a no-op.
 func TestDegradedGPFSSlowsStaging(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	const dataset, nodes = 200 * units.TB, 2048
 	clean := s.StagingTime(dataset, nodes, PartitionDataset)
 	brown := s.Degraded(0.25).StagingTime(dataset, nodes, PartitionDataset)
@@ -158,7 +158,7 @@ func TestDegradedGPFSSlowsStaging(t *testing.T) {
 }
 
 func TestDegradedGPFSMonotone(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	prev := units.Seconds(0)
 	for _, f := range []float64{1, 0.8, 0.5, 0.2, 0.05} {
 		tm := s.Degraded(f).StagingTime(100*units.TB, 1024, PartitionDataset)

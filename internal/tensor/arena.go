@@ -38,16 +38,6 @@ func (a *Arena) Reset() {
 	a.nSlab, a.nOf = 0, 0
 }
 
-// Cap returns the total float64 capacity across slabs — the arena's
-// high-water footprint, useful for asserting steady state in tests.
-func (a *Arena) Cap() int {
-	n := 0
-	for _, s := range a.floats {
-		n += len(s)
-	}
-	return n
-}
-
 // New returns a zero-filled tensor of the given shape backed by the arena.
 func (a *Arena) New(shape ...int) *Tensor { return newIn(a, shape) }
 

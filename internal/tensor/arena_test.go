@@ -41,14 +41,14 @@ func TestArenaResetReusesSlabs(t *testing.T) {
 		return ts
 	}
 	first := pass()
-	warm := a.Cap()
+	warm := len(a.floats)
 	if warm == 0 {
-		t.Fatal("warm arena reports zero capacity")
+		t.Fatal("warm arena holds no slabs")
 	}
 	a.Reset()
 	second := pass()
-	if got := a.Cap(); got != warm {
-		t.Fatalf("repeat pass grew the arena: %d -> %d floats", warm, got)
+	if got := len(a.floats); got != warm {
+		t.Fatalf("repeat pass grew the arena: %d -> %d slabs", warm, got)
 	}
 	if &first[0].Data()[0] != &second[0].Data()[0] {
 		t.Fatal("reset did not recycle slab memory")

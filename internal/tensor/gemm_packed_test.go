@@ -104,8 +104,8 @@ func TestPackedEveryKC(t *testing.T) {
 
 // TestGemmBitIdenticalAcrossKC is the determinism contract behind
 // SetGemmKC: pinning any autotune candidate (the knob CI and benchmarks
-// use to silence the wall-clock autotune) leaves both the f64 packed
-// path and the f32 fast path bit-identical to the autotuned run. KC is
+// use to silence the wall-clock autotune) leaves the packed path
+// bit-identical to the autotuned run. KC is
 // performance-only; if this ever fails, the autotune's run-to-run
 // variance becomes a correctness hazard instead of a timing nuisance.
 func TestGemmBitIdenticalAcrossKC(t *testing.T) {
@@ -115,18 +115,14 @@ func TestGemmBitIdenticalAcrossKC(t *testing.T) {
 	a := Randn(rng, 1, m, k)
 	b := Randn(rng, 1, k, n)
 	SetGemmKC(0) // autotuned baseline
-	want64 := a.MatMul(b)
-	want32 := a.MatMulF32(b)
+	want := a.MatMul(b)
 	for _, kc := range gemmKCCandidates {
 		SetGemmKC(kc)
 		if got := GemmKC(); got != kc {
 			t.Fatalf("GemmKC() = %d after SetGemmKC(%d)", got, kc)
 		}
-		if !a.MatMul(b).Equal(want64, 0) {
-			t.Fatalf("KC=%d: f64 MatMul not bit-identical to autotuned run", kc)
-		}
-		if !a.MatMulF32(b).Equal(want32, 0) {
-			t.Fatalf("KC=%d: f32 MatMul not bit-identical to autotuned run", kc)
+		if !a.MatMul(b).Equal(want, 0) {
+			t.Fatalf("KC=%d: MatMul not bit-identical to autotuned run", kc)
 		}
 	}
 	SetGemmKC(0)
@@ -171,38 +167,6 @@ func TestMatMulDispatchIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulF32MatchesTiledF32 pins that the packed f32 fast path
-// computes exactly what the tiled f32 kernel computes (same narrow
-// arithmetic in the same per-element order).
-func TestMatMulF32MatchesTiledF32(t *testing.T) {
-	rng := stats.NewRNG(23)
-	for _, dims := range [][3]int{{3, 4, 5}, {65, 63, 67}, {130, 270, 190}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := Randn(rng, 1, m, k)
-		b := Randn(rng, 1, k, n)
-		if !a.MatMulF32(b).Equal(a.MatMulTiledF32(b), 0) {
-			t.Fatalf("packed f32 differs from tiled f32 at dims %v", dims)
-		}
-	}
-}
-
-func TestMatMulF32ArenaInheritance(t *testing.T) {
-	ar := NewArena()
-	a := FullIn(ar, 1, 8, 8)
-	if a.MatMulF32(Full(1, 8, 8)).Arena() != ar {
-		t.Fatal("MatMulF32 result did not inherit the arena")
-	}
-}
-
-func TestMatMulF32DimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(2, 3).MatMulF32(New(2, 3))
-}
-
 // BenchmarkGemmParallel256 is the packed parallel kernel the MatMul
 // dispatch table selects at this size — the floor rule pair with
 // BenchmarkGemmRowStream256 (summit-bench -check enforces >=2x at >=4
@@ -218,18 +182,5 @@ func BenchmarkGemmParallel256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst.Zero()
 		matMulPackedInto(dst.Data(), a.Data(), bb.Data(), 256, 256, 256)
-	}
-}
-
-// BenchmarkGemmParallelF32_256 is the f32 fast path of the packed
-// runtime, conversion cost included.
-func BenchmarkGemmParallelF32_256(b *testing.B) {
-	rng := stats.NewRNG(1)
-	a := Randn(rng, 1, 256, 256)
-	bb := Randn(rng, 1, 256, 256)
-	b.SetBytes(int64(2 * 256 * 256 * 256 * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MatMulF32(bb)
 	}
 }

@@ -110,50 +110,3 @@ func (t *Tensor) Transpose2DIn(a *Arena) *Tensor {
 	}
 	return r
 }
-
-// MatVec returns the matrix-vector product of the (M, N) tensor t and the
-// length-N vector v.
-func (t *Tensor) MatVec(v *Tensor) *Tensor {
-	if t.Rank() != 2 || v.Rank() != 1 || t.shape[1] != v.shape[0] {
-		panic(fmt.Sprintf("tensor: MatVec shapes %v, %v", t.shape, v.shape))
-	}
-	m, n := t.shape[0], t.shape[1]
-	r := newIn(t.arena, []int{m})
-	for i := 0; i < m; i++ {
-		row := t.data[i*n : (i+1)*n]
-		var s float64
-		for j, x := range row {
-			s += x * v.data[j]
-		}
-		r.data[i] = s
-	}
-	return r
-}
-
-// Dot returns the inner product of two equal-length rank-1 tensors.
-func (t *Tensor) Dot(u *Tensor) float64 {
-	if t.Rank() != 1 || u.Rank() != 1 || t.shape[0] != u.shape[0] {
-		panic(fmt.Sprintf("tensor: Dot shapes %v, %v", t.shape, u.shape))
-	}
-	var s float64
-	for i := range t.data {
-		s += t.data[i] * u.data[i]
-	}
-	return s
-}
-
-// Outer returns the outer product of rank-1 tensors t (len M) and u (len N),
-// an (M, N) matrix.
-func (t *Tensor) Outer(u *Tensor) *Tensor {
-	if t.Rank() != 1 || u.Rank() != 1 {
-		panic("tensor: Outer of non-vectors")
-	}
-	m, n := t.shape[0], u.shape[0]
-	r := newIn(t.arena, []int{m, n})
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			r.data[i*n+j] = t.data[i] * u.data[j]
-		}
-	}
-	return r
-}

@@ -21,24 +21,6 @@ func (t *Tensor) SumAxis0() *Tensor {
 	return r
 }
 
-// SumAxis1 returns the row sums of a rank-2 tensor as a length-M vector.
-func (t *Tensor) SumAxis1() *Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: SumAxis1 of non-matrix")
-	}
-	m, n := t.shape[0], t.shape[1]
-	r := newIn(t.arena, []int{m})
-	for i := 0; i < m; i++ {
-		row := t.data[i*n : (i+1)*n]
-		var s float64
-		for _, x := range row {
-			s += x
-		}
-		r.data[i] = s
-	}
-	return r
-}
-
 // ArgMaxRows returns, for a rank-2 (M, N) tensor, the index of the maximum
 // element in each row.
 func (t *Tensor) ArgMaxRows() []int {
@@ -90,12 +72,6 @@ func (t *Tensor) SoftmaxRows() *Tensor {
 	return r
 }
 
-// MeanAxis0 returns the column means of a rank-2 tensor.
-func (t *Tensor) MeanAxis0() *Tensor {
-	r := t.SumAxis0()
-	return r.ScaleInPlace(1 / float64(t.shape[0]))
-}
-
 // Slice2DRows returns rows [lo, hi) of a rank-2 tensor as a view.
 func (t *Tensor) Slice2DRows(lo, hi int) *Tensor {
 	if t.Rank() != 2 {
@@ -106,26 +82,4 @@ func (t *Tensor) Slice2DRows(lo, hi int) *Tensor {
 	}
 	n := t.shape[1]
 	return viewIn(t.arena, []int{hi - lo, n}, t.data[lo*n:hi*n])
-}
-
-// Concat2DRows stacks rank-2 tensors with equal column counts vertically.
-func Concat2DRows(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Concat2DRows of nothing")
-	}
-	n := ts[0].shape[1]
-	rows := 0
-	for _, t := range ts {
-		if t.Rank() != 2 || t.shape[1] != n {
-			panic("tensor: Concat2DRows column mismatch")
-		}
-		rows += t.shape[0]
-	}
-	r := newIn(ts[0].arena, []int{rows, n})
-	off := 0
-	for _, t := range ts {
-		copy(r.data[off:], t.data)
-		off += len(t.data)
-	}
-	return r
 }

@@ -60,15 +60,6 @@ func Randn(rng *stats.RNG, sd float64, shape ...int) *Tensor {
 	return t
 }
 
-// Uniform fills a new tensor with uniform variates in [lo, hi).
-func Uniform(rng *stats.RNG, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return t
-}
-
 // checkShape must not pass shape itself to fmt: like offset, doing so
 // makes every variadic shape argument escape, costing one heap allocation
 // per tensor-producing call even when the tensor itself is arena-backed.
@@ -209,16 +200,6 @@ func (t *Tensor) Mul(u *Tensor) *Tensor {
 	return r
 }
 
-// Div returns t / u elementwise.
-func (t *Tensor) Div(u *Tensor) *Tensor {
-	t.mustMatch(u, "Div")
-	r := newIn(t.arena, t.shape)
-	for i := range t.data {
-		r.data[i] = t.data[i] / u.data[i]
-	}
-	return r
-}
-
 // AddInPlace accumulates u into t and returns t.
 func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
 	t.mustMatch(u, "AddInPlace")
@@ -256,15 +237,6 @@ func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 	return t
 }
 
-// AddScalar returns t + s elementwise.
-func (t *Tensor) AddScalar(s float64) *Tensor {
-	r := newIn(t.arena, t.shape)
-	for i := range t.data {
-		r.data[i] = t.data[i] + s
-	}
-	return r
-}
-
 // Apply returns f applied elementwise.
 func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	r := newIn(t.arena, t.shape)
@@ -272,14 +244,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 		r.data[i] = f(t.data[i])
 	}
 	return r
-}
-
-// ApplyInPlace overwrites t with f applied elementwise and returns t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	for i := range t.data {
-		t.data[i] = f(t.data[i])
-	}
-	return t
 }
 
 // AddRow adds the length-C row vector to every row of the (N, C) matrix t.
